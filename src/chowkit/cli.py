@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .chow import (
     chow_group,
@@ -185,6 +186,8 @@ def cmd_chow(args):
 
 
 def cmd_principal(args):
+    if args.bound is not None and args.bound < 0:
+        raise _UsageError("--bound must be >= 0")
     order = _build_order(args)
     divisor = _divisor_from_literal(order, args.divisor)
     result = principal_divisor_test(order, divisor, max_steps=args.bound)
@@ -322,8 +325,10 @@ def cmd_order_info(args):
 def cmd_find_trivial(args):
     if args.disc is None:
         raise _UsageError("find-trivial needs --disc")
-    field = make_field(args.disc)
     budget = args.prime_budget
+    if budget < 0:
+        raise _UsageError("--prime-budget must be >= 0")
+    field = make_field(args.disc)
     f = find_trivial_chow_conductor(field, budget)
     if f is None:
         doc = {"command": "find-trivial", "disc": field.d, "found": False,
@@ -406,6 +411,12 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser of main, built on first use and shared by later calls."""
+    return build_parser()
+
+
 _HANDLERS = {
     "chow": cmd_chow,
     "principal": cmd_principal,
@@ -416,9 +427,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:

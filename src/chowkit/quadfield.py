@@ -13,11 +13,15 @@ Fixed conventions used throughout:
     smaller representative in [0, p), which keeps conjugate places stable
     across runs.
 
-Class groups are spanned by the prime ideals below the Minkowski bound and
-classified through the corresponding binary quadratic forms: reduced forms
-are canonical class keys in the imaginary case, reduction cycles (narrow
-classes) in the real case.  Real class groups are then taken modulo the
-class of sqrt(d)*Z[w], which removes the narrow/wide distinction.
+Class groups are spanned by the prime ideals below the Minkowski bound,
+computed entirely on their binary quadratic forms: every product is a
+Dirichlet composition of two reduced forms (Cohen, GTM 138, Alg. 5.4.7),
+reduced again, so intermediates keep O(log |d|) bits.  Reduced forms are
+canonical class keys in the imaginary case; in the real case the key is the
+least form of the reduction cycle (the narrow class), and each cycle is
+walked once per build.  Real class groups are then taken modulo the class
+of sqrt(d)*Z[w], which removes the narrow/wide distinction.  Generator
+representatives are primitive ideals of reduced forms.
 """
 
 from __future__ import annotations
@@ -524,19 +528,86 @@ def _reduce_real(d, sd, form):
     return form
 
 
-def _cycle_key_real(d, sd, form):
-    """Canonical key of the reduction cycle containing the reduced form."""
+def _reduced(d, sd, form):
+    """Reduced form with a > 0 in the class of form.
+
+    For d < 0 this is the unique reduced form; for d > 0 a form on the
+    class's reduction cycle (reduced forms there have a*c < 0, so one rho
+    step turns a < 0 into a > 0).
+    """
+    if d < 0:
+        return _reduce_imag(form)
+    form = _reduce_real(d, sd, form)
+    return _rho_real(d, sd, form) if form[0] < 0 else form
+
+
+def _compose(f1, f2, d):
+    """Dirichlet composition of primitive forms of discriminant d with a > 0.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7;
+    the result lies in the product class and is not reduced.
+    """
+    (a1, b1, _), (a2, b2, c2) = sorted((f1, f2))
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, g = 0, a1
+    else:
+        g, y1, _ = egcd(a2, a1)
+    if s % g == 0:
+        x2, y2, g1 = 0, -1, g
+    else:
+        g1, x2, y2 = egcd(s, g)
+        y2 = -y2
+    v1, v2 = a1 // g1, a2 // g1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a3 = v1 * v2
+    b3 = b2 + 2 * v2 * r
+    return (a3, b3, (b3 * b3 - d) // (4 * a3))
+
+
+def _unit_form(d, sd):
+    return _reduced(d, sd, (1, d, (d * d - d) // 4))
+
+
+def _form_pow(d, sd, form, e):
+    """Reduced form**e (a > 0), by square-and-multiply on reduced forms."""
+    if e < 0:
+        a, b, c = form
+        form, e = (a, -b, c), -e
+    out = _unit_form(d, sd)
+    while e:
+        if e & 1:
+            out = _reduced(d, sd, _compose(out, form, d))
+        e >>= 1
+        if e:
+            form = _reduced(d, sd, _compose(form, form, d))
+    return out
+
+
+def _class_key(d, sd, form, memo=None):
+    """Canonical key of the class of a primitive form of discriminant d.
+
+    d < 0: the reduced form.  d > 0: the least form of the reduction cycle,
+    which identifies the narrow class.  A memo dict, when given, maps every
+    form of each cycle walked so far to its key, so that a cycle is walked
+    once per memo.
+    """
+    if d < 0:
+        return _reduce_imag(form)
     start = _reduce_real(d, sd, form)
-    best = start
+    if memo is not None and start in memo:
+        return memo[start]
+    cycle = [start]
     f = _rho_real(d, sd, start)
-    guard = 0
     while f != start:
-        if f < best:
-            best = f
-        f = _rho_real(d, sd, f)
-        guard += 1
-        if guard > 100000:
+        cycle.append(f)
+        if len(cycle) > 100001:
             raise RuntimeError("runaway reduction cycle")
+        f = _rho_real(d, sd, f)
+    best = min(cycle)
+    if memo is not None:
+        memo.update(dict.fromkeys(cycle, best))
     return best
 
 
@@ -570,13 +641,12 @@ def reduced_form_count(d: int) -> int:
 class ClassGroupData:
     """Ideal class group with per-generator ideal representatives."""
 
-    def __init__(self, field, group, representatives, narrow, table, gen_ideals, wide):
+    def __init__(self, field, group, representatives, narrow, table, wide):
         self.field = field
         self.group = group
         self.representatives = representatives
         self._narrow = narrow
         self._table = table
-        self._gen_ideals = gen_ideals
         self._wide = wide
 
     @property
@@ -586,62 +656,51 @@ class ClassGroupData:
     def cardinality(self):
         return self.group.cardinality()
 
-    def _key(self, ideal):
-        d = self.field.d
-        if d < 0:
-            return _reduce_imag(ideal.form())
-        return _cycle_key_real(d, isqrt(d), ideal.form())
-
     def dlog(self, ideal: QIdeal):
         """Class of a fractional ideal as a GroupElement of self.group."""
         if ideal.field.d != self.field.d:
             raise TypeError("ideal of a different field")
-        key = self._key(ideal.primitive())
-        coords = self._table[key]
-        n = len(self._gen_ideals)
-        vec = list(coords) + [0] * (n - len(coords))
-        elt = self._narrow.member(vec)
+        d = self.field.d
+        key = _class_key(d, isqrt(d) if d > 0 else 0, ideal.form())
+        elt = self._narrow.member(self._table[key])
         if self._wide is None:
             return elt
         return self.group.member(elt.coords)
 
 
-def _span_classes(field, candidates):
-    """BFS span of ideal classes: returns (table, gen_ideals, relation rows)."""
-    unit = QIdeal.unit_ideal(field)
-    d = field.d
-    sd = isqrt(d) if d > 0 else None
+def _span_classes(d, sd, candidates, memo):
+    """BFS span of the classes of candidate forms.
 
-    def key(I):
-        if d < 0:
-            return _reduce_imag(I.form())
-        return _cycle_key_real(d, sd, I.form())
-
-    table = {key(unit): ()}
-    reps = {key(unit): unit}
+    Returns (table, gens, relation rows): table maps each class key to its
+    coordinates over gens, the reduced candidates that enlarged the span.
+    Every product is a composition of two reduced forms, reduced again.
+    """
+    one = _unit_form(d, sd)
+    k1 = _class_key(d, sd, one, memo)
+    table = {k1: ()}
+    reps = {k1: one}
     gens = []
     rels = []
-    for cand in candidates:
-        k0 = key(cand)
-        if k0 in table:
+    for form in candidates:
+        cand = _reduced(d, sd, form)
+        if _class_key(d, sd, cand, memo) in table:
             continue
         idx = len(gens)
         chain = []
         power = cand
-        while key(power) not in table:
+        while _class_key(d, sd, power, memo) not in table:
             chain.append(power)
-            power = (power * cand).primitive()
+            power = _reduced(d, sd, _compose(power, cand, d))
         r = len(chain) + 1
-        base = table[key(power)]
+        base = table[_class_key(d, sd, power, memo)]
         new_entries = {}
         for k_old, coords in table.items():
             rep_old = reps[k_old]
-            acc = rep_old
             for t in range(1, r):
-                acc_ideal = (rep_old * chain[t - 1]).primitive()
-                kk = key(acc_ideal)
+                prod = _reduced(d, sd, _compose(rep_old, chain[t - 1], d))
+                kk = _class_key(d, sd, prod, memo)
                 new_entries[kk] = tuple(coords) + (0,) * (idx - len(coords)) + (t,)
-                reps[kk] = acc_ideal
+                reps[kk] = prod
         table.update(new_entries)
         gens.append(cand)
         rels.append((idx, r, base))
@@ -669,42 +728,43 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
 
     if d < 0:
         bound = isqrt(4 * (-d) // 9) + 1  # >= Minkowski (2/pi)*sqrt(|d|)
+        sd = 0
     else:
         bound = isqrt(d) // 2 + 1
+        sd = isqrt(d)
     candidates = []
     for p in primes_below(bound + 1):
         places = splitting(field, p)
         if places[0].kind == "inert":
             continue
-        candidates.append(places[0].ideal())
+        candidates.append(places[0].ideal().form())
     if d > 0:
-        candidates.append(principal_ideal(field.sqrt_disc()))
+        sqrt_d_form = principal_ideal(field.sqrt_disc()).form()
+        candidates.append(sqrt_d_form)
 
-    table, gens, rows = _span_classes(field, candidates)
+    memo = {}  # for this build only: cached with the group, it would hold every form
+    table, gens, rows = _span_classes(d, sd, candidates, memo)
     narrow = quotient(len(gens), rows)
 
     wide = None
     group = narrow
     lift_total = narrow.generator_lifts
     if d > 0:
-        t_key_ideal = principal_ideal(field.sqrt_disc()).primitive()
-        sd = isqrt(d)
-        tk = _cycle_key_real(d, sd, t_key_ideal.form())
-        t_elt = narrow.member(table[tk])
+        t_elt = narrow.member(table[_class_key(d, sd, sqrt_d_form, memo)])
         wide = subgroup_quotient(narrow, [t_elt])
         group = wide
         lift_total = wide.generator_lifts @ narrow.generator_lifts
 
     reps = []
     for j in range(group.rank):
-        exps = lift_total.row(j)
-        acc = QIdeal.unit_ideal(field)
-        for ideal, e in zip(gens, exps):
+        acc = _unit_form(d, sd)
+        for gen, e in zip(gens, lift_total.row(j)):
             if e:
-                acc = (acc * ideal ** e).primitive()
-        reps.append(acc)
+                acc = _reduced(d, sd, _compose(acc, _form_pow(d, sd, gen, e), d))
+        a, b, _ = acc
+        reps.append(QIdeal(field, a, (b - d) // 2))
 
-    data = ClassGroupData(field, group, tuple(reps), narrow, table, tuple(gens), wide)
+    data = ClassGroupData(field, group, tuple(reps), narrow, table, wide)
     with _CACHE_LOCK:
         _CLASS_CACHE.setdefault(d, data)
     return data

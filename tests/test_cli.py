@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chowkit.cli import main
+from chowkit.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,6 +138,30 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    assert main(["principal", "--disc", "-23", "--conductor", "3",
+                 "--divisor", "2.0:1", "--bound", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --bound must be >= 0\n"
+    assert main(["find-trivial", "--disc", "-23", "--prime-budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --prime-budget must be >= 0\n"
+
+
+def test_shared_parser_keeps_outputs(capsys):
+    # main parses with one parser per process: an argparse error must leave
+    # nothing behind that changes a later golden run or a repeated error
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["chow", "--bogus"])
+    usage = capsys.readouterr().err
+    assert "error: unrecognized arguments: --bogus" in usage
+    for _ in range(2):
+        assert main(["chow", "--bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == usage
+        argv, golden, expected_code = WORKED_INVOCATIONS[0]
+        code, out = run(capsys, argv)
+        assert code == expected_code
+        assert out == (GOLDEN / golden).read_text()
 
 
 def test_bound_exhaustion_exit_code(capsys):

@@ -23,7 +23,7 @@ from chowkit.quadfield import (
     splitting,
     torsion_units,
 )
-from util import fundamental_discriminants, quotient_ring_kind_mod2
+from util import fundamental_discriminants, quotient_ring_kind_mod2, reduced_cycle_count
 
 
 def test_make_field_validation():
@@ -155,10 +155,15 @@ def test_class_group_worked_examples():
     assert cg.invariant_factors == (3,)
     # oracle: the three reduced forms of discriminant -23
     assert reduced_form_count(-23) == 3
-    # representatives realize the invariant generators
-    for j, rep in enumerate(cg.representatives):
-        e = cg.dlog(rep)
-        assert e.coords == tuple(1 if t == j else 0 for t in range(cg.group.rank))
+    # representatives realize the invariant generators and stay reduced-sized
+    # (-431, -455 and 1393 need negative exponents in their generator lifts)
+    for d in (-23, -431, -455, -837191, 40, 229, 1393, 3305):
+        cg = class_group(make_field(d))
+        assert len(cg.representatives) == cg.group.rank
+        for j, rep in enumerate(cg.representatives):
+            e = cg.dlog(rep)
+            assert e.coords == tuple(1 if t == j else 0 for t in range(cg.group.rank)), d
+            assert rep.content == 1 and rep.a * rep.a <= abs(d), (d, rep)
 
 
 def test_class_group_real_fields():
@@ -176,9 +181,27 @@ def test_class_numbers_match_form_count():
         assert class_group(make_field(d)).cardinality() == reduced_form_count(d), d
 
 
+def test_large_class_number_matches_form_count():
+    cg = class_group(make_field(-837191))
+    assert cg.invariant_factors == (1325,)
+    assert cg.cardinality() == reduced_form_count(-837191)
+
+
+def test_real_class_numbers_match_cycle_count():
+    for d in fundamental_discriminants(1000, sign=1):
+        F = make_field(d)
+        cg = class_group(F)
+        narrow = cg._narrow.cardinality()
+        assert narrow == reduced_cycle_count(d), d
+        if fundamental_unit(F).norm() == 1:
+            assert narrow == 2 * cg.cardinality(), d
+        else:
+            assert narrow == cg.cardinality(), d
+
+
 def test_ideal_class_is_homomorphism():
     rng = random.Random(3)
-    for d in (-23, -47, -84, 40):
+    for d in (-23, -47, -84, 40, -837191, 3305):
         F = make_field(d)
         pool = []
         for p in (2, 3, 5, 7, 11, 13):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: disc enumeration, oracles, transcription."""
 
+from math import gcd, isqrt
+
 from chowkit import FieldInputError, make_field
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.quadfield import class_group
@@ -34,6 +36,50 @@ def enumerate_subgroup_order(G, gens):
                     nxt.append(y)
         frontier = nxt
     return len(seen)
+
+
+def reduced_cycle_count(d):
+    """Number of cycles of reduced indefinite forms of discriminant d > 0.
+
+    Independent narrow class-number oracle, from the definitions only: the
+    reduced primitive forms (a, b, c), |sqrt(d) - 2|a|| < b < sqrt(d), are
+    enumerated, and each is linked to its right neighbour, the unique
+    reduced form (c, b', c') with b + b' = 0 (mod 2c).  The links form a
+    permutation whose cycles are counted.
+    """
+    sd = isqrt(d)
+    forms = []
+    for b in range(1, sd + 1):
+        if (b * b - d) % 4:
+            continue
+        ac = (b * b - d) // 4            # a*c < 0
+        for a in range(1, sd + 1):       # reduced forms have |a| < sqrt(d)
+            if ac % a:
+                continue
+            for sa in (a, -a):
+                c = ac // sa
+                if (2 * a + b) ** 2 > d and (2 * a <= b or (2 * a - b) ** 2 < d) \
+                        and gcd(gcd(a, b), abs(c)) == 1:
+                    forms.append((sa, b, c))
+    by_lead = {}
+    for f in forms:
+        by_lead.setdefault(f[0], []).append(f)
+
+    def neighbour(f):
+        _, b, c = f
+        (g,) = [h for h in by_lead[c] if (b + h[1]) % (2 * c) == 0]
+        return g
+
+    seen = set()
+    cycles = 0
+    for f in forms:
+        if f in seen:
+            continue
+        cycles += 1
+        while f not in seen:
+            seen.add(f)
+            f = neighbour(f)
+    return cycles
 
 
 def quotient_ring_kind_mod2(d):
