@@ -1,10 +1,22 @@
 """Finitely generated abelian groups in invariant-factor coordinates.
 
-The computational core is an exact Smith normal form over the integers with
-both transform matrices tracked.  On top of it sit the group constructions
-everything else reduces to: quotients of free groups by relation lattices,
-quotients by finitely generated subgroups, canonical coordinates, element
-orders, and deterministic Bezout data for gcds of several integers.
+The computational core is an exact Smith normal form over the integers.  On
+top of it sit the group constructions everything else reduces to: quotients
+of free groups by relation lattices, quotients by finitely generated
+subgroups, canonical coordinates, element orders, and deterministic Bezout
+data for gcds of several integers.
+
+Smith normal form (Cohen, GTM 138, Alg. 2.4.14): the pivot is the entry of
+smallest nonzero absolute value in the trailing block, ties broken by (row,
+col), so the transforms are reproducible.  The row-major pivot scan stops at
+the first unit, which no later entry can displace, and a unit pivot skips
+the divisibility scan.  The core logs its elementary row and column
+operations instead of building U and V; each caller replays only what it
+reads:
+  * ``quotient``: the kept columns of V (``basis_change``) and the kept
+    rows of V^-1 (``generator_lifts``), never U;
+  * ``solve_combination``: U times the target and V times one vector;
+  * ``smith_normal_form``: U and V in full, never V^-1.
 
 Conventions:
   * invariant factors are listed as d_1 | d_2 | ... with every d_i >= 2,
@@ -18,7 +30,9 @@ All arithmetic is on Python integers, so nothing overflows.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, prod
+from operator import itemgetter
 
 from .ntheory import egcd
 
@@ -29,7 +43,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries, cols=None):
-        data = tuple(tuple(int(v) for v in row) for row in entries)
+        data = tuple(tuple(map(int, row)) for row in entries)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -83,10 +97,11 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.rows:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(vec[i] * self._data[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
+        acc = [0] * self.cols
+        for v, row in zip(vec, self._data):
+            if v:
+                acc = [a + v * b for a, b in zip(acc, row)]
+        return tuple(acc)
 
     def det(self):
         """Exact determinant (fraction-free Bareiss)."""
@@ -137,102 +152,122 @@ def _as_rows(relations, n_cols):
     return rows
 
 
-def _snf_inplace(m_rows, n_rows, n_cols):
-    """Smith normal form with transforms.
+def _snf_inplace(M, n_rows, n_cols):
+    """Smith normal form of the row lists ``M`` (destroyed), as a log.
 
-    Returns (diag, U, V, Vinv) as lists; U*A*V = diag(diag) with U, Vinv
-    applied as plain row-operation products.  Pivoting picks the entry of
-    smallest nonzero absolute value, ties broken by (row, col), which makes
-    the transforms reproducible.
+    Returns (diag, row_ops, col_ops).  The transforms are not built here:
+    each elementary operation is logged as (dst, src, q), meaning "dst +=
+    q * src" on rows or columns, with q = 0 for a swap of dst and src and
+    (i, i, -2) for the final negation of row i.  U is the product of the
+    row operations, V that of the column operations, and U*A*V is diagonal;
+    ``_apply_row_ops`` and ``_apply_col_ops`` rebuild just the parts of U,
+    V and V^-1 a caller reads.
+
+    The pivot is the entry of smallest nonzero absolute value, ties broken
+    by (row, col), which makes the transforms reproducible.  Two early exits
+    keep that rule: the row-major scan stops at the first unit (nothing
+    later can displace it), and a unit pivot skips the divisibility scan.
     """
-    M = m_rows
-    U = [[1 if i == j else 0 for j in range(n_rows)] for i in range(n_rows)]
-    V = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
-    Vinv = [row[:] for row in V]
+    row_ops = []
+    col_ops = []
     t = 0
     limit = min(n_rows, n_cols)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        # col dst += q * col src ; Vinv gets the inverse op on rows
-        for row in M:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-        Vinv[src] = [a - q * b for a, b in zip(Vinv[src], Vinv[dst])]
-
     while t < limit:
-        piv = None
-        best = None
+        best = 0
+        pi = None
         for i in range(t, n_rows):
-            row = M[i]
-            for j in range(t, n_cols):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
+            v = min(map(abs, filter(None, M[i][t:])), default=0)
+            if v and (not best or v < best):
+                best, pi = v, i
+                if v == 1:
+                    break
+        if pi is None:
             break
-        if piv != (t, t):
-            if piv[0] != t:
-                swap_rows(t, piv[0])
-            if piv[1] != t:
-                swap_cols(t, piv[1])
-        p = M[t][t]
-        dirty = False
-        for i in range(t + 1, n_rows):
-            if M[i][t]:
-                q = M[i][t] // p
-                if q:
-                    add_row(i, t, -q)
-                if M[i][t]:
-                    dirty = True
-        for j in range(t + 1, n_cols):
-            if M[t][j]:
-                q = M[t][j] // p
-                if q:
-                    add_col(j, t, -q)
-                if M[t][j]:
-                    dirty = True
+        pj = t + list(map(abs, M[pi][t:])).index(best)
+        if pi != t:
+            M[t], M[pi] = M[pi], M[t]
+            row_ops.append((t, pi, 0))
+        if pj != t:
+            # rows above t are zero from column t on
+            for row in M[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            col_ops.append((t, pj, 0))
+        prow = M[t]
+        p = prow[t]
+        # the rows with an entry in column t, the only ones a column
+        # operation below changes
+        live = [prow]
+        at_t = itemgetter(t)
+        for i in compress(range(t + 1, n_rows), map(at_t, M[t + 1:])):
+            row = M[i]
+            q = row[t] // p
+            if q:
+                M[i] = row = [a - q * b for a, b in zip(row, prow)]
+                row_ops.append((i, t, -q))
+            if row[t]:
+                live.append(row)
+        dirty = len(live) > 1
+        for j in compress(range(t + 1, n_cols), prow[t + 1:]):
+            q = prow[j] // p
+            if q:
+                for row in live:
+                    row[j] -= q * row[t]
+                col_ops.append((j, t, -q))
+            if prow[j]:
+                dirty = True
         if dirty:
             continue
-        # pivot divides its row and column; force divisibility of the rest
-        p = M[t][t]
-        viol = None
-        for i in range(t + 1, n_rows):
-            row = M[i]
-            for j in range(t + 1, n_cols):
-                if row[j] % p:
-                    viol = i
-                    break
+        if p != 1 and p != -1:
+            # pivot divides its row and column; force divisibility of the rest
+            viol = next((i for i in range(t + 1, n_rows)
+                         if any(v % p for v in M[i][t + 1:])), None)
             if viol is not None:
-                break
-        if viol is not None:
-            add_row(t, viol, 1)
-            continue
+                M[t] = [a + b for a, b in zip(prow, M[viol])]
+                row_ops.append((t, viol, 1))
+                continue
         t += 1
 
+    # M is diagonal now, so negating row i flips only its diagonal entry
     for i in range(limit):
         if M[i][i] < 0:
-            M[i] = [-v for v in M[i]]
-            U[i] = [-v for v in U[i]]
-    diag = [M[i][i] for i in range(limit)]
-    return diag, U, V, Vinv
+            M[i][i] = -M[i][i]
+            row_ops.append((i, i, -2))
+    return [M[i][i] for i in range(limit)], row_ops, col_ops
+
+
+def _unit_rows(n, cols):
+    """The n x len(cols) block of the identity matrix made of the given columns."""
+    X = [[0] * len(cols) for _ in range(n)]
+    for c, j in enumerate(cols):
+        X[j][c] = 1
+    return X
+
+
+def _apply_row_ops(row_ops, X):
+    """U*X in place, for X given by its rows."""
+    for dst, src, q in row_ops:
+        if q:
+            X[dst] = [a + q * b for a, b in zip(X[dst], X[src])]
+        else:
+            X[dst], X[src] = X[src], X[dst]
+    return X
+
+
+def _apply_col_ops(col_ops, X, inverse=False):
+    """V*X, or with ``inverse`` (V^-1)^T*X, in place, for X given by its rows.
+
+    V is the product of the column operations in log order, so V*X replays
+    them backwards: "col dst += q * col src" acts on X as "row src += q *
+    row dst", and its inverse's transpose as "row dst -= q * row src".
+    """
+    for dst, src, q in reversed(col_ops):
+        if not q:
+            X[dst], X[src] = X[src], X[dst]
+        elif inverse:
+            X[dst] = [a - q * b for a, b in zip(X[dst], X[src])]
+        else:
+            X[src] = [a + q * b for a, b in zip(X[src], X[dst])]
+    return X
 
 
 def smith_normal_form(A):
@@ -247,15 +282,20 @@ def smith_normal_form(A):
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
-    diag, U, V, _ = _snf_inplace(A.tolists(), A.rows, A.cols)
+    diag, row_ops, col_ops = _snf_inplace(A.tolists(), A.rows, A.cols)
     D = [[0] * A.cols for _ in range(A.rows)]
     for i, d in enumerate(diag):
         D[i][i] = d
     return (
         IntMatrix(D, cols=A.cols),
-        IntMatrix(U, cols=A.rows),
-        IntMatrix(V, cols=A.cols),
+        IntMatrix(_apply_row_ops(row_ops, _unit_rows(A.rows, range(A.rows))), cols=A.rows),
+        IntMatrix(_apply_col_ops(col_ops, _unit_rows(A.cols, range(A.cols))), cols=A.cols),
     )
+
+
+def _canonical(coords, factors):
+    """Reduced coordinates: each coordinate at a finite factor taken mod it."""
+    return tuple([c % d if d else c for c, d in zip(coords, factors)])
 
 
 class AbelianGroup:
@@ -310,25 +350,23 @@ class AbelianGroup:
         return not self.invariant_factors
 
     def reduce(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.rank:
+        coords = tuple(map(int, coords))
+        if len(coords) != len(self.invariant_factors):
             raise ValueError("coordinate length mismatch")
-        return tuple(
-            c % d if d else c for c, d in zip(coords, self.invariant_factors)
-        )
+        return _canonical(coords, self.invariant_factors)
 
     def member(self, vector):
         """Canonical element from a vector in presentation-generator coordinates."""
-        vector = tuple(int(v) for v in vector)
+        vector = tuple(map(int, vector))
         if len(vector) != self.user_rank:
             raise ValueError(
                 f"vector length {len(vector)} does not match generator count {self.user_rank}"
             )
-        return GroupElement(self, self.reduce(self.basis_change.mul_vec(vector)))
+        return GroupElement(self, self.basis_change.mul_vec(vector))
 
     def element(self, coords):
         """Element directly from invariant-factor coordinates."""
-        return GroupElement(self, self.reduce(coords))
+        return GroupElement(self, coords)
 
     def identity(self):
         return GroupElement(self, (0,) * self.rank)
@@ -352,22 +390,33 @@ class GroupElement:
         self.group = group
         self.coords = group.reduce(coords)
 
+    def _like(self, coords):
+        """Element of the same group from integer coordinates of the right
+        length, as the arithmetic below makes them: reduced, not checked."""
+        elt = object.__new__(GroupElement)
+        elt.group = self.group
+        elt.coords = _canonical(coords, self.group.invariant_factors)
+        return elt
+
     def is_identity(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other):
         if other.group is not self.group:
             raise ValueError("elements of different groups")
-        return GroupElement(self.group, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._like([a + b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self):
-        return GroupElement(self.group, [-c for c in self.coords])
+        return self._like([-c for c in self.coords])
 
     def __sub__(self, other):
-        return self + (-other)
+        if other.group is not self.group:
+            raise ValueError("elements of different groups")
+        return self._like([a - b for a, b in zip(self.coords, other.coords)])
 
     def __rmul__(self, n):
-        return GroupElement(self.group, [int(n) * c for c in self.coords])
+        n = int(n)
+        return self._like([n * c for c in self.coords])
 
     __mul__ = __rmul__
 
@@ -398,19 +447,16 @@ def quotient(n_generators, relations, labels=None):
     n = int(n_generators)
     rows = _as_rows(relations, n)
     m = len(rows)
-    diag, _, V, Vinv = _snf_inplace([r[:] for r in rows], m, n)
-    moduli = list(diag) + [0] * (n - len(diag))
+    diag, _, col_ops = _snf_inplace(rows, m, n)
+    moduli = diag + [0] * (n - len(diag))
     kept = [j for j in range(n) if moduli[j] != 1]
     factors = [moduli[j] for j in kept]
-    basis = IntMatrix([[V[i][j] for j in kept] for i in range(n)], cols=len(kept))
-    lifts = IntMatrix([Vinv[j] for j in kept], cols=n)
+    # the kept columns of V, and the kept rows of V^-1 (built transposed)
+    basis = IntMatrix(_apply_col_ops(col_ops, _unit_rows(n, kept)), cols=len(kept))
+    lifts = IntMatrix(zip(*_apply_col_ops(col_ops, _unit_rows(n, kept), inverse=True)),
+                      cols=n)
     return AbelianGroup(factors, generator_labels=labels, basis_change=basis,
                         generator_lifts=lifts)
-
-
-def member(G, vector):
-    """Canonical representative of a generator-coordinate vector in G."""
-    return G.member(vector)
 
 
 def element_order(G, g):
@@ -446,15 +492,6 @@ def subgroup_quotient(G, subgen):
             raise ValueError("subgroup generator from a different group")
         rows.append(list(g.coords))
     return quotient(k, rows)
-
-
-def subgroup_cardinality(G, subgen):
-    """Order of the subgroup generated by subgen inside a finite G."""
-    total = G.cardinality()
-    if total is None:
-        raise ValueError("finite group required")
-    q = subgroup_quotient(G, subgen).cardinality()
-    return total // q
 
 
 def bezout_gcd(values):
@@ -512,20 +549,20 @@ def solve_combination(G, elements, target):
     width = len(cols)
     if k == 0:
         return [0] * m
-    rows = [[cols[c][r] for c in range(width)] for r in range(k)]
-    diag, U, V, _ = _snf_inplace(rows, k, width)
-    w = [sum(U[i][j] * target.coords[j] for j in range(k)) for i in range(k)]
-    s = [0] * width
+    rows = [[c[r] for c in cols] for r in range(k)]
+    diag, row_ops, col_ops = _snf_inplace(rows, k, width)
+    # U*target and V*s as one-column matrices
+    w = [x for (x,) in _apply_row_ops(row_ops, [[c] for c in target.coords])]
+    s = [[0] for _ in range(width)]
     for i in range(k):
         d = diag[i] if i < len(diag) else 0
         if d:
             if w[i] % d:
                 return None
-            s[i] = w[i] // d
+            s[i][0] = w[i] // d
         elif w[i]:
             return None
-    z = [sum(V[i][j] * s[j] for j in range(width)) for i in range(width)]
-    return z[:m]
+    return [x for (x,) in _apply_col_ops(col_ops, s)[:m]]
 
 
 def direct_sum_invariants(*factor_lists):

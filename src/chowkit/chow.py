@@ -45,8 +45,8 @@ from .quadfield import (
     class_group as field_class_group,
     fundamental_unit,
     is_principal,
+    _splitting,
     residue_unit_cardinality,
-    splitting,
     unit_group_order,
 )
 
@@ -99,7 +99,8 @@ def _prime_fabric(order: OrderData):
         classes = [order.place_class(pl) for pl in prime.places]
         q = cl.identity()
         for lam, c in zip(prime.lambdas, classes):
-            q = q + lam * c
+            if lam:
+                q = q + lam * c
         q_classes.append(q)
         for pl, c in zip(prime.places, classes):
             n_gens.append((pl.degree // prime.g) * q - c)
@@ -349,7 +350,7 @@ def find_trivial_chow_conductor(field: QuadField, prime_budget: int = 100):
     n_sub = []
     chosen = []
     for p in primes_below(prime_budget + 1):
-        places = splitting(field, p)
+        places = _splitting(field, p)
         if places[0].kind != "split":
             continue  # inert primes block, ramified ones contribute nothing
         c = cg.dlog(places[0].ideal())

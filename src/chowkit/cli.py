@@ -249,10 +249,10 @@ def cmd_order_info(args):
     for i, prime in enumerate(order.primes):
         places = ", ".join(
             f"{pl.label} (d={pl.degree}, e={pl.e})" for pl in prime.places)
-        lc = _group_str(local_chow(order, i).invariant_factors)
+        lc = local_chow(order, i).invariant_factors
         lines.append(
             f"  {prime.label}: residue F_{prime.residue_size}; places {places}; "
-            f"g = {prime.g}; local Chow: {lc}")
+            f"g = {prime.g}; local Chow: {_group_str(lc)}")
         doc["primes"].append({
             "label": prime.label,
             "p": prime.p,
@@ -262,7 +262,7 @@ def cmd_order_info(args):
                 for pl in prime.places
             ],
             "g": prime.g,
-            "local_chow": list(local_chow(order, i).invariant_factors),
+            "local_chow": list(lc),
         })
 
     if order.is_quadratic:

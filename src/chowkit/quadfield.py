@@ -268,6 +268,11 @@ def splitting(field: QuadField, p: int):
     p = int(p)
     if not is_prime(p):
         raise FieldInputError(f"{p} is not prime")
+    return _splitting(field, p)
+
+
+def _splitting(field: QuadField, p: int):
+    """``splitting`` for an int p already known to be prime (a sieve's)."""
     d = field.d
     if p == 2:
         if d % 2:
@@ -734,7 +739,7 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
         sd = isqrt(d)
     candidates = []
     for p in primes_below(bound + 1):
-        places = splitting(field, p)
+        places = _splitting(field, p)
         if places[0].kind == "inert":
             continue
         candidates.append(places[0].ideal().form())

@@ -1,5 +1,7 @@
 """Exact linear algebra and abelian-group constructions."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import gcd, prod
@@ -12,7 +14,6 @@ from chowkit.abgroup import (
     bezout_gcd,
     direct_sum_invariants,
     element_order,
-    member,
     quotient,
     smith_normal_form,
     solve_combination,
@@ -106,13 +107,13 @@ def test_quotient_presentation_invariance():
 
 def test_member_examples():
     z4 = quotient(1, [[4]])
-    assert member(z4, [6]).coords == (2,)
+    assert z4.member([6]).coords == (2,)
     z = quotient(1, [])
-    assert member(z, [-3]).coords == (-3,)
+    assert z.member([-3]).coords == (-3,)
     crt = quotient(2, [[2, 0], [0, 3]])
-    assert element_order(crt, member(crt, [1, 1])) == 6
+    assert element_order(crt, crt.member([1, 1])) == 6
     with pytest.raises(ValueError):
-        member(z4, [1, 2])
+        z4.member([1, 2])
 
 
 def test_element_order_examples():
@@ -132,7 +133,7 @@ def test_subgroup_quotient_examples():
     G = quotient(2, [[4, 0], [0, 2]])
     assert sorted(G.invariant_factors) == [2, 4]
     # quotient of Z/4 x Z/2 by the order-2 subgroup <2a + b>
-    q = subgroup_quotient(G, [member(G, [2, 1])])
+    q = subgroup_quotient(G, [G.member([2, 1])])
     assert q.invariant_factors == (4,)
 
 
@@ -176,9 +177,9 @@ def test_bezout_identity_random():
 
 def test_solve_combination():
     G = quotient(2, [[4, 0], [0, 6]])
-    a = member(G, [1, 0])
-    b = member(G, [0, 2])
-    target = member(G, [2, 4])
+    a = G.member([1, 0])
+    b = G.member([0, 2])
+    target = G.member([2, 4])
     x = solve_combination(G, [a, b], target)
     assert x is not None
     got = G.identity()
@@ -186,7 +187,7 @@ def test_solve_combination():
         got = got + c * e
     assert got == target
     # (1, 1) is not in <(2, 0), (0, 2)> inside Z/4 x Z/6
-    odd = member(G, [1, 1])
+    odd = G.member([1, 1])
     assert solve_combination(G, [2 * a, b], odd) is None
 
 
@@ -206,3 +207,107 @@ def test_basis_change_and_lifts_are_sections():
             lifted = G.member(G.generator_lifts.row(j))
             expected = tuple(1 if t == j else 0 for t in range(G.rank))
             assert lifted.coords == G.reduce(expected)
+
+
+def random_chain(rng, k):
+    """A random invariant-factor chain of length k."""
+    chain = []
+    for _ in range(k):
+        chain.append((chain[-1] if chain else 1) * rng.choice((2, 2, 3, 4, 6)))
+    return chain
+
+
+def declared_shaped(rng, r, k):
+    """Relation rows shaped like the G/R presentation of a declared order
+    (chow.chow_group): the moduli of a class group, then one row per
+    conductor prime with g_i at the prime (mostly 1, so unit pivots) and
+    reduced class coordinates."""
+    chain = random_chain(rng, k)
+    rows = [[0] * (r + k) for _ in chain]
+    for j, d in enumerate(chain):
+        rows[j][r + j] = d
+    for i in range(r):
+        row = [0] * (r + k)
+        row[i] = rng.choice((1, 1, 1, 1, 2, 3))
+        for j, d in enumerate(chain):
+            row[r + j] = -rng.randrange(d)
+        rows.append(row)
+    return rows
+
+
+def snf_contract_outputs():
+    """Everything callers read from the SNF core, on a seeded corpus: small
+    dense matrices (with D, U, V), declared-shaped presentations of up to
+    about 120 primes, and wide k x 600 solve_combination systems."""
+    rng = random.Random(20261018)
+    out = []
+
+    def record(G):
+        out.append([G.invariant_factors, G.basis_change.tolists(),
+                    G.generator_lifts.tolists()])
+
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-12, 12) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(m)]
+        D, U, V = smith_normal_form(IntMatrix(rows))
+        out.append([D.tolists(), U.tolists(), V.tolists()])
+        G = quotient(n, rows)
+        record(G)
+        if G.rank:
+            elements = [G.element([rng.randint(-9, 9) for _ in range(G.rank)])
+                        for _ in range(rng.randint(0, 5))]
+            target = G.element([rng.randint(-9, 9) for _ in range(G.rank)])
+            out.append(solve_combination(G, elements, target))
+    for r, k in ((20, 3), (60, 6), (118, 2), (120, 5), (121, 6)):
+        rows = declared_shaped(rng, r, k)
+        record(quotient(r + k, rows))
+        if r == 20:
+            D, U, V = smith_normal_form(IntMatrix(rows))
+            out.append([D.tolists(), U.tolists(), V.tolists()])
+    for k in (1, 3, 6):
+        G = AbelianGroup(random_chain(rng, k))
+        elements = [G.element([rng.randrange(d) for d in G.invariant_factors])
+                    for _ in range(600)]
+        for scale in (1, 2):
+            target = G.element([rng.randrange(d) for d in G.invariant_factors])
+            out.append(solve_combination(G, [scale * e for e in elements], target))
+    return out
+
+
+# sha256 of the JSON of snf_contract_outputs(), as computed by the SNF
+# implementation that kept every transform matrix in full; the transforms
+# must not change
+SNF_CONTRACT_DIGEST = "097a47db50efa86e2df67e0c686da9cbe7de89996513e5be76c35beabfc087c5"
+
+
+def test_snf_outputs_match_pinned_digest():
+    data = json.dumps(snf_contract_outputs()).encode()
+    assert hashlib.sha256(data).hexdigest() == SNF_CONTRACT_DIGEST
+
+
+def test_wide_solve_combination_oracle():
+    """Either x solves sum(x_i e_i) = target, or None exactly when the target
+    is nonzero in G modulo the span of the elements."""
+    rng = random.Random(606)
+    answers = set()
+    for k in (2, 4, 6):
+        G = AbelianGroup(random_chain(rng, k))
+        for scale in (1, 2, 3):
+            elements = [scale * G.element([rng.randrange(d) for d in G.invariant_factors])
+                        for _ in range(600)]
+            image = subgroup_quotient(G, elements)
+            for _ in range(4):
+                target = G.element([rng.randrange(d) for d in G.invariant_factors])
+                x = solve_combination(G, elements, target)
+                outside = not image.member(target.coords).is_identity()
+                answers.add(outside)
+                if x is None:
+                    assert outside
+                    continue
+                assert not outside and len(x) == len(elements)
+                got = G.identity()
+                for c, e in zip(x, elements):
+                    got = got + c * e
+                assert got == target
+    assert answers == {False, True}

@@ -1,10 +1,11 @@
 """Chow groups, the exact sequence, the principal divisor test, Pic reports."""
 
+import json
 import random
 
 import pytest
 
-from chowkit.abgroup import direct_sum_invariants
+from chowkit.abgroup import IntMatrix, direct_sum_invariants
 from chowkit.chow import (
     chow_group,
     exact_sequence_data,
@@ -13,7 +14,7 @@ from chowkit.chow import (
     pic_chow_report,
     principal_divisor_test,
 )
-from chowkit.declared import declared_order, load_declared
+from chowkit.declared import declared_order, load_declared, parse_declared
 from chowkit.errors import BackendError
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
@@ -303,3 +304,39 @@ def test_nonsplit_flag_against_direct_sum():
     # the quintic intersection order splits (trivial image)
     esq = exact_sequence_data(declared_order(load_declared(QUINTIC), ["p1", "p2"]))
     assert not esq.nonsplit
+
+
+def test_declared_120_primes_det_oracle():
+    """A seeded declared order with 120 conductor primes: |Chow| equals |det|
+    of the square G/R matrix (Bareiss), and the lifts section basis_change."""
+    rng = random.Random(120)
+    chain = [2, 6, 12]
+    records = []
+    for i in range(120):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        # one class and one degree on all places of a record: N is trivial,
+        # so the three class columns stay in the presentation
+        degree = rng.choice((1, 1, 1, 2, 3))
+        image = [rng.randrange(d) for d in chain]
+        places = [{"label": f"P{i}_{j}", "degree": degree,
+                   "ramification": rng.randint(1, 2), "class_image": image}
+                  for j in range(rng.randint(1, 4))]
+        records.append({"label": f"q{i}", "p": p, "residue_size_below": p,
+                        "places": places})
+    decl = parse_declared(json.dumps({"description": "120 primes",
+                                      "class_invariants": chain,
+                                      "conductor_primes": records}))
+    pres = chow_group(declared_order(decl, decl.prime_labels))
+    r = len(pres.order.primes)
+    moduli = pres.cl_mod_n.invariant_factors
+    rows = [[0] * (r + len(moduli)) for _ in moduli]
+    for j, d in enumerate(moduli):
+        rows[j][r + j] = d
+    square = IntMatrix(rows + pres.relations.tolists())
+    assert moduli == (2, 6, 12)
+    assert pres.cardinality() == abs(square.det()) > 1
+    G = pres.result
+    assert G.user_rank == r + len(moduli)
+    for j in range(G.rank):
+        unit = tuple(1 if t == j else 0 for t in range(G.rank))
+        assert G.member(G.generator_lifts.row(j)).coords == G.reduce(unit)

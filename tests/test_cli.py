@@ -113,12 +113,17 @@ def test_maximal_order_info(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    # the child does not inherit this interpreter's sys.path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chowkit.cli", "chow", "--disc", "-7", "--conductor", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "chow_disc-7_f2.txt").read_text()
 
