@@ -32,15 +32,16 @@ from .abgroup import (
 from .errors import BackendError
 from .ntheory import factorize, primes_below
 from .orders import (
+    LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
     OrderData,
     divisor_to_ideal,
     kernel_generators,
     order_from_conductor,
+    q_divisor,
 )
 from .quadfield import (
-    QIdeal,
     QuadField,
     class_group as field_class_group,
     fundamental_unit,
@@ -90,26 +91,9 @@ class ChowPresentation:
         return self.result.member(avec + list(sbar.coords))
 
 
-def _prime_fabric(order: OrderData):
-    """Per-prime data: place classes, [Q_i], and the N generators."""
-    cl = order.class_group()
-    q_classes = []
-    n_gens = []
-    for prime in order.primes:
-        classes = [order.place_class(pl) for pl in prime.places]
-        q = cl.identity()
-        for lam, c in zip(prime.lambdas, classes):
-            if lam:
-                q = q + lam * c
-        q_classes.append(q)
-        for pl, c in zip(prime.places, classes):
-            n_gens.append((pl.degree // prime.g) * q - c)
-    return cl, q_classes, n_gens
-
-
 def chow_group(order: OrderData) -> ChowPresentation:
     """Chow group of the order via the G/R presentation."""
-    cl, q_classes, n_gens = _prime_fabric(order)
+    cl, q_classes, n_gens = order.fabric
     cl_mod_n = subgroup_quotient(cl, n_gens)
     r = len(order.primes)
     k = cl_mod_n.rank
@@ -133,8 +117,8 @@ def chow_group(order: OrderData) -> ChowPresentation:
     return ChowPresentation(
         order=order,
         generator_labels=labels,
-        n_generators=tuple(n_gens),
-        q_classes=tuple(q_classes),
+        n_generators=n_gens,
+        q_classes=q_classes,
         relations=IntMatrix(r_rows, cols=r + k),
         cl_mod_n=cl_mod_n,
         result=result,
@@ -196,11 +180,12 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     coefficient at p_i); (2) lift to an ideal of the normalization using the
     Bezout data; (3)-(4) class group and kernel generators; (5) test the
     lift's class against the kernel subgroup; (6) correct by a kernel ideal
-    and extract a generator.  Declared orders stop after step (5).
+    and extract a generator.  Declared orders, which have no ideal
+    arithmetic, stop after step (5).
     """
     if D.level != LEVEL_ORDER:
         raise ValueError("expected a divisor over the order")
-    cl, q_classes, n_gens = _prime_fabric(order)
+    cl, q_classes, n_gens = order.fabric
 
     # step 1: image membership
     for prime in order.primes:
@@ -230,31 +215,20 @@ def principal_divisor_test(order: OrderData, D: Divisor,
             "not-principal", failing_step=5,
             detail="ideal class of the lift lies outside the kernel subgroup",
         )
-    if not order.is_quadratic:
+    try:
+        field = order.field
+    except BackendError:
         return PrincipalResult("principal-no-generator",
                                detail="declared backend stops after the class test")
 
-    # step 6: assemble A * B and extract a generator
-    field = order.field
-    lift = QIdeal.unit_ideal(field)
-    for prime, q in zip(order.primes, q_classes):
-        a_i = D.coefficient(prime.label)
-        if not a_i:
-            continue
-        q_ideal = QIdeal.unit_ideal(field)
-        for pl, lam in zip(prime.places, prime.lambdas):
-            if lam:
-                q_ideal = q_ideal * pl.place.ideal() ** lam
-        lift = lift * q_ideal ** (a_i // prime.g)
-    for label, coeff in invertible.items():
-        from .orders import resolve_place
-
-        lift = lift * resolve_place(field, label).ideal() ** coeff
-    correction = QIdeal.unit_ideal(field)
+    # step 6: the lift A = sum (a_i/g_i) Q_i + invertible part, corrected by
+    # the kernel divisor B = sum x_k * gen_k, as one ideal; extract a generator
+    div = Divisor(LEVEL_NORMALIZATION, invertible)
+    for prime in order.primes:
+        div = div + (D.coefficient(prime.label) // prime.g) * q_divisor(prime)
     for coeff, gen_div in zip(x, kernel_generators(order)):
-        if coeff and not gen_div.is_zero():
-            correction = correction * divisor_to_ideal(order, gen_div) ** coeff
-    alpha = is_principal(field, lift * correction, max_steps=max_steps)
+        div = div + coeff * gen_div
+    alpha = is_principal(field, divisor_to_ideal(order, div), max_steps=max_steps)
     if alpha is None:
         raise RuntimeError("trivial ideal class without a generator; this is a bug")
     return PrincipalResult("principal", generator=alpha)
@@ -270,8 +244,6 @@ class PicReport:
 
 def pic_cardinality(order: OrderData) -> PicReport:
     """Picard group cardinality from the unit/class exact sequence."""
-    if not order.is_quadratic:
-        raise BackendError("Picard cardinality needs the quadratic backend")
     field = order.field
     f = order.conductor
     h = field_class_group(field).group.cardinality()
@@ -310,7 +282,7 @@ class PicChowReport:
 
 def pic_chow_report(order: OrderData) -> PicChowReport:
     """Injectivity and surjectivity of the canonical map Pic -> Chow."""
-    cl, _, n_gens = _prime_fabric(order)
+    cl, _, n_gens = order.fabric
     reasons = []
     surjective = all(p.g == 1 for p in order.primes)
     if surjective:
@@ -322,10 +294,11 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
     if not kernel_trivial:
         reasons.append("push-forward kernel has nontrivial classes")
         return PicChowReport(surjective, False, tuple(reasons))
-    if not order.is_quadratic:
+    try:
+        pic = pic_cardinality(order).pic_cardinality
+    except BackendError:
         reasons.append("unit data unavailable on the declared backend")
         return PicChowReport(surjective, None, tuple(reasons))
-    pic = pic_cardinality(order).pic_cardinality
     h = cl.cardinality()
     injective = pic == h
     reasons.append(

@@ -43,12 +43,12 @@ from .errors import (
 from .orders import (
     LEVEL_ORDER,
     Divisor,
+    QuadraticOrder,
     conductor_test,
-    declared_conductor_test,
     local_chow,
+    order_conductor_test,
     order_from_conductor,
     prop_fix_report,
-    resolve_place,
 )
 from .quadfield import make_field
 
@@ -91,14 +91,9 @@ def _resolve_order_label(order, token):
     for prime in order.primes:
         if token == prime.label:
             return prime.label
-    if not order.is_quadratic:
-        raise PlaceResolutionError(
-            f"{token!r} is not a conductor prime of the selection")
-    place = resolve_place(order.field, token)
-    hit = order.prime_for_place(place.label)
-    if hit is not None:
-        return hit[0].label
-    return place.label
+    label = order.place_label(token)
+    hit = order.prime_for_place(label)
+    return label if hit is None else hit[0].label
 
 
 def _divisor_from_literal(order, text):
@@ -154,10 +149,19 @@ def _group_str(invariants):
     return " x ".join("Z" if d == 0 else f"Z/{d}" for d in invariants)
 
 
-def _order_context(order):
-    if order.is_quadratic:
-        return {"disc": order.field.d, "conductor": order.conductor}
-    return {"data": order.declared.description, "order": list(order.selection)}
+def _describe(order):
+    """(JSON context, field line, order line): the one backend dispatch."""
+    if isinstance(order, QuadraticOrder):
+        field, f = order.field, order.conductor
+        return ({"disc": field.d, "conductor": f},
+                f"field: {field} (discriminant {field.d})",
+                "order: maximal (conductor 1)" if order.is_maximal
+                else f"order: Z + {f}*O~ (conductor {f})")
+    cl = _group_str(order.class_group().invariant_factors)
+    return ({"data": order.declared.description, "order": list(order.selection)},
+            f"field: declared data (class group {cl})",
+            "order: maximal (empty selection)" if order.is_maximal
+            else f"order: selection {','.join(order.selection)}")
 
 
 def cmd_chow(args):
@@ -168,7 +172,7 @@ def cmd_chow(args):
     local_inv = list(es.local_invariants)
     doc = {
         "command": "chow",
-        "field": _order_context(order),
+        "field": _describe(order)[0],
         "chow": chow_inv,
         "image": image_inv,
         "local": local_inv,
@@ -197,7 +201,7 @@ def cmd_principal(args):
         gen_doc = {"x": g.x, "y": g.y, "den": g.den, "str": str(g)}
     doc = {
         "command": "principal",
-        "field": _order_context(order),
+        "field": _describe(order)[0],
         "divisor": {k: v for k, v in sorted(divisor.support.items())},
         "status": result.status,
         "failing_step": result.failing_step,
@@ -220,31 +224,21 @@ def cmd_order_info(args):
     order = _build_order(args)
     pres = chow_group(order)
     chow_inv = list(pres.invariant_factors)
+    context, field_line, order_line = _describe(order)
     doc = {
         "command": "order-info",
-        "field": _order_context(order),
+        "field": context,
         "maximal": order.is_maximal,
         "primes": [],
         "chow": chow_inv,
     }
-    if order.is_quadratic:
-        field_line = f"field: {order.field} (discriminant {order.field.d})"
-    else:
-        cl = _group_str(order.class_group().invariant_factors)
-        field_line = f"field: declared data (class group {cl})"
-    lines = [field_line]
+    lines = [field_line, order_line]
     if order.is_maximal:
-        lines.append("order: maximal (conductor 1)" if order.is_quadratic
-                     else "order: maximal (empty selection)")
         lines.append(f"Chow = Cl: {_group_str(chow_inv)}")
         doc["conductor_ideal"] = True
         _emit(args, doc, lines)
         return EXIT_OK
 
-    if order.is_quadratic:
-        lines.append(f"order: Z + {order.conductor}*O~ (conductor {order.conductor})")
-    else:
-        lines.append(f"order: selection {','.join(order.selection)}")
     lines.append("non-invertible primes:")
     for i, prime in enumerate(order.primes):
         places = ", ".join(
@@ -265,20 +259,7 @@ def cmd_order_info(args):
             "local_chow": list(lc),
         })
 
-    if order.is_quadratic:
-        exps = {}
-        f = order.conductor
-        for prime in order.primes:
-            v = 0
-            ff = f
-            while ff % prime.p == 0:
-                v += 1
-                ff //= prime.p
-            for pl in prime.places:
-                exps[pl.label] = v * pl.e
-        ok, viol = conductor_test(order.field, exps)
-    else:
-        ok, viol = declared_conductor_test(order)
+    ok, viol = order_conductor_test(order)
     doc["conductor_ideal"] = ok
     lines.append("conductor ideal (Furtwangler): " + ("yes" if ok else f"no (violator: {viol})"))
 
@@ -298,8 +279,12 @@ def cmd_order_info(args):
     if fix.residue_unit_order is not None:
         lines.append(f"residue units |(O~/F)*|: {fix.residue_unit_order}")
 
-    if order.is_quadratic:
+    try:
         pic = pic_cardinality(order)
+    except BackendError:
+        doc["pic"] = None
+        lines.append("Pic: unavailable (declared backend)")
+    else:
         doc["pic"] = {
             "cl": pic.cl_cardinality,
             "unit_index": pic.unit_index,
@@ -309,9 +294,6 @@ def cmd_order_info(args):
         lines.append(
             f"Pic: |Pic| = {pic.pic_cardinality} (|Cl| = {pic.cl_cardinality}, "
             f"unit index {pic.unit_index}, relative units {pic.relative_unit_quotient})")
-    else:
-        doc["pic"] = None
-        lines.append("Pic: unavailable (declared backend)")
 
     pc = pic_chow_report(order)
     doc["pic_chow"] = {"surjective": pc.surjective, "injective": pc.injective}

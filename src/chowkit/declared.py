@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DeclaredDataError
 from .ntheory import is_prime
-from .orders import NonInvertiblePrime, OrderData, PlaceInfo
+from .orders import DeclaredOrder, NonInvertiblePrime, PlaceInfo
 from .abgroup import bezout_gcd
 
 _TOP_KEYS = {"description", "class_invariants", "conductor_primes"}
@@ -220,7 +220,7 @@ def load_declared(path) -> DeclaredField:
         return parse_declared(handle.read())
 
 
-def declared_order(decl: DeclaredField, active_primes) -> OrderData:
+def declared_order(decl: DeclaredField, active_primes) -> DeclaredOrder:
     """Order carved out of a declared field by selecting conductor primes.
 
     ``active_primes`` is an iterable of record labels; an empty selection
@@ -242,4 +242,4 @@ def declared_order(decl: DeclaredField, active_primes) -> OrderData:
         g, lambdas = bezout_gcd([pl.degree for pl in rec.places])
         primes.append(NonInvertiblePrime(
             rec.label, rec.p, rec.residue_size_below, infos, g, tuple(lambdas)))
-    return OrderData("declared", primes, declared=decl, selection=selection)
+    return DeclaredOrder(decl, selection, primes)

@@ -4,7 +4,7 @@ Trial factorization is plenty here: every integer we factor is a conductor,
 a small element norm, or a prime bound, all comfortably below 2**64.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -75,13 +75,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def kronecker2(a: int) -> int:
-    """Kronecker symbol (a|2)."""
-    if a % 2 == 0:
-        return 0
-    return 1 if a % 8 in (1, 7) else -1
-
-
 def sqrt_mod(a: int, p: int):
     """Square root of a modulo an odd prime p (Tonelli-Shanks).
 
@@ -129,12 +122,3 @@ def egcd(a: int, b: int):
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
-
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of n (sign preserved)."""
-    sign = -1 if n < 0 else 1
-    out = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return sign * out

@@ -1,17 +1,26 @@
 """Orders in quadratic fields and orders built from declared splitting data.
 
-An order is either
+An order is an ``OrderData`` from one of two backends:
 
-  * quadratic: Z + f*Z[w] inside a quadratic field, identified by the
-    conductor f >= 1 (every order of a quadratic field has this shape), or
-  * declared: carved out of a validated data file that lists, per
-    non-invertible prime, the places above it with their degrees,
-    ramification exponents and ideal-class images.
+  * ``QuadraticOrder`` (``order_from_conductor``): Z + f*Z[w] inside a
+    quadratic field, identified by the conductor f >= 1 (every order of a
+    quadratic field has this shape);
+  * ``DeclaredOrder`` (``declared.declared_order``): carved out of a
+    validated data file that lists, per non-invertible prime, the places
+    above it with their degrees, ramification exponents and ideal-class
+    images.
 
-Either way the order knows its non-invertible primes together with the
-splitting fabric the divisor machinery consumes: degrees d_{i,j}, exponents
-e_{i,j}, the gcd g_i of the degrees and deterministic Bezout coefficients
-lambda_{i,j} with sum(lambda * d) = g.
+Both know their non-invertible primes together with the splitting fabric
+the divisor machinery consumes: degrees d_{i,j}, exponents e_{i,j}, the gcd
+g_i of the degrees and deterministic Bezout coefficients lambda_{i,j} with
+sum(lambda * d) = g.  Both answer ``class_group()``, ``place_class``,
+``place_label``, ``conductor_exponent`` and ``residue_unit_order``, and the
+base class builds the cached ``fabric`` (class group, [Q_i], N generators)
+from them; that is all the Chow group and the class test of a principal
+divisor need.  Ideal, element and unit arithmetic needs ``order.field``,
+which only a quadratic order has: on a declared order it raises
+``BackendError``, as does ``invertible_place_class`` (the data carries no
+classes outside the conductor).
 
 Divisors live on two levels.  Over the normalization they are supported on
 places (labels like ``2.0``, ``3`` or declared labels like ``P1``); over the
@@ -23,6 +32,7 @@ prime gets its own label (the rational prime for quadratic orders).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .abgroup import AbelianGroup, GroupElement, bezout_gcd
@@ -40,7 +50,9 @@ from .quadfield import (
     class_group,
     element_divisor,
     fundamental_unit,
+    is_principal,
     prime_to_ideal,
+    residue_unit_cardinality,
     splitting,
     torsion_units,
 )
@@ -120,16 +132,11 @@ class NonInvertiblePrime:
 
 
 class OrderData:
-    """An order together with its non-invertible primes."""
+    """An order with its non-invertible primes; a backend subclass supplies
+    the class group, the class of each place and the field arithmetic."""
 
-    def __init__(self, kind, primes, field=None, conductor=None,
-                 declared=None, selection=()):
-        self.kind = kind
+    def __init__(self, primes):
         self.primes = tuple(primes)
-        self.field = field
-        self.conductor = conductor
-        self.declared = declared
-        self.selection = tuple(selection)
         self._place_to_prime = {}
         for prime in self.primes:
             for pl in prime.places:
@@ -137,64 +144,115 @@ class OrderData:
                     raise PlaceResolutionError(
                         f"place {pl.label} appears under two selected primes")
                 self._place_to_prime[pl.label] = (prime, pl)
-        self._class_group = None
-
-    @property
-    def is_quadratic(self):
-        return self.kind == "quadratic"
 
     @property
     def is_maximal(self):
         return not self.primes
 
-    def class_group(self) -> AbelianGroup:
-        """Class group of the normalization."""
-        if self._class_group is None:
-            if self.is_quadratic:
-                self._class_group = class_group(self.field).group
-            else:
-                self._class_group = AbelianGroup(self.declared.class_invariants)
-        return self._class_group
-
-    def place_class(self, place_info) -> GroupElement:
-        """Ideal class of a place of the normalization."""
-        cl = self.class_group()
-        if self.is_quadratic:
-            return class_group(self.field).dlog(place_info.place.ideal())
-        return cl.member(place_info.class_image)
-
-    def invertible_place_class(self, label) -> GroupElement:
-        """Ideal class of the place above an invertible prime of the order."""
-        if not self.is_quadratic:
-            raise BackendError(
-                "declared data carries no class images outside the conductor")
-        place = resolve_place(self.field, label)
-        return class_group(self.field).dlog(place.ideal())
-
     def prime_for_place(self, label):
         """(prime, place) pair when the label lies over the conductor."""
         return self._place_to_prime.get(label)
 
-    def sort_key(self, label):
-        """Deterministic ordering of order-level labels: (p, branch)."""
-        for idx, prime in enumerate(self.primes):
-            if prime.label == label:
-                return (prime.p, -1, idx)
-        if self.is_quadratic:
-            p, branch = _parse_quadratic_label(label)
-            return (p, branch if branch is not None else -1, 0)
-        return (0, -1, 0)
+    @cached_property
+    def fabric(self):
+        """(Cl, [Q_i] per prime, N generators per (prime, place)), built once.
 
-    def describe(self):
-        if self.is_quadratic:
-            if self.conductor == 1:
-                return f"maximal order of {self.field}"
-            return f"Z + {self.conductor}*O~ in {self.field}"
-        sel = ",".join(self.selection) if self.selection else "(none)"
-        return f"declared order [{sel}]"
+        Q_i = sum_j lambda_{i,j} P_{i,j}; the N generator of P_{i,j} is
+        (d_{i,j}/g_i)[Q_i] - [P_{i,j}], the class of its kernel generator.
+        """
+        cl = self.class_group()
+        q_classes = []
+        n_gens = []
+        for prime in self.primes:
+            classes = [self.place_class(pl) for pl in prime.places]
+            q = cl.identity()
+            for lam, c in zip(prime.lambdas, classes):
+                if lam:
+                    q = q + lam * c
+            q_classes.append(q)
+            for pl, c in zip(prime.places, classes):
+                n_gens.append((pl.degree // prime.g) * q - c)
+        return cl, tuple(q_classes), tuple(n_gens)
 
-    def __repr__(self):
-        return f"OrderData({self.describe()})"
+
+class QuadraticOrder(OrderData):
+    """Z + f*O~ in a quadratic field: every capability is available."""
+
+    def __init__(self, field: QuadField, conductor: int, primes):
+        super().__init__(primes)
+        self.field = field
+        self.conductor = conductor
+
+    def class_group(self) -> AbelianGroup:
+        """Class group of the normalization."""
+        return class_group(self.field).group
+
+    def place_class(self, place_info) -> GroupElement:
+        """Ideal class of a place of the normalization."""
+        return class_group(self.field).dlog(place_info.place.ideal())
+
+    def invertible_place_class(self, label) -> GroupElement:
+        """Ideal class of the place above an invertible prime of the order."""
+        return class_group(self.field).dlog(resolve_place(self.field, label).ideal())
+
+    def place_label(self, token):
+        """Canonical label of the place of the normalization named by token."""
+        return resolve_place(self.field, token).label
+
+    def conductor_exponent(self, prime):
+        """v_p(f): the conductor is the product of the places over p to v_p(f) * e."""
+        v, f = 0, self.conductor
+        while f % prime.p == 0:
+            v, f = v + 1, f // prime.p
+        return v
+
+    def residue_unit_order(self):
+        """|(O~/F)^*|."""
+        return residue_unit_cardinality(self.field, self.conductor)
+
+
+class DeclaredOrder(OrderData):
+    """Order carved out of declared data: classes and degrees only.
+
+    The data carries no field, so ideal, element and unit arithmetic raise
+    BackendError, through ``field``.
+    """
+
+    def __init__(self, declared, selection, primes):
+        super().__init__(primes)
+        self.declared = declared
+        self.selection = tuple(selection)
+        self._class_group = AbelianGroup(declared.class_invariants)
+
+    @property
+    def field(self):
+        raise BackendError("declared backend has no field arithmetic "
+                           "(ideals, elements, units)")
+
+    def class_group(self) -> AbelianGroup:
+        """Class group of the normalization, as declared."""
+        return self._class_group
+
+    def place_class(self, place_info) -> GroupElement:
+        """Declared ideal class of a place over the conductor."""
+        return self._class_group.member(place_info.class_image)
+
+    def invertible_place_class(self, label) -> GroupElement:
+        raise BackendError(
+            "declared data carries no class images outside the conductor")
+
+    def place_label(self, token):
+        """Declared data knows no places outside the selected records."""
+        raise PlaceResolutionError(
+            f"{token!r} is not a conductor prime of the selection")
+
+    def conductor_exponent(self, prime):
+        """1: the declared conductor is the product of its places to the power e."""
+        return 1
+
+    def residue_unit_order(self):
+        """Unknown: the data carries no unit arithmetic."""
+        return None
 
 
 def _parse_quadratic_label(label):
@@ -224,7 +282,7 @@ def resolve_place(field: QuadField, label):
     raise PlaceResolutionError(f"no place {label} over {p}")
 
 
-def order_from_conductor(field: QuadField, f: int) -> OrderData:
+def order_from_conductor(field: QuadField, f: int) -> QuadraticOrder:
     """The order Z + f*Z[w] with its non-invertible primes filled in."""
     f = int(f)
     if f < 1:
@@ -237,12 +295,7 @@ def order_from_conductor(field: QuadField, f: int) -> OrderData:
         )
         g, lambdas = bezout_gcd([pl.degree for pl in infos])
         primes.append(NonInvertiblePrime(str(p), p, p, infos, g, tuple(lambdas)))
-    return OrderData("quadratic", primes, field=field, conductor=f)
-
-
-def noninvertible_primes(order: OrderData):
-    """The non-invertible maximal ideals with their derived data."""
-    return list(order.primes)
+    return QuadraticOrder(field, f, primes)
 
 
 def local_chow(order: OrderData, i: int) -> AbelianGroup:
@@ -270,21 +323,17 @@ def pushforward(order: OrderData, D: Divisor) -> Divisor:
             prime, pl = hit
             out[prime.label] = out.get(prime.label, 0) + coeff * pl.degree
             continue
-        if not order.is_quadratic:
-            raise PlaceResolutionError(
-                f"place {label} is not part of the declared data")
-        place = resolve_place(order.field, label)
-        out[place.label] = out.get(place.label, 0) + coeff  # invertible: degree 1
+        label = order.place_label(label)
+        out[label] = out.get(label, 0) + coeff  # invertible: degree 1
     return Divisor(LEVEL_ORDER, out)
 
 
 def div_over_order(order: OrderData, a: QElement) -> Divisor:
     """Principal divisor of a field element over the order."""
-    if not order.is_quadratic:
-        raise BackendError("declared backend has no element arithmetic")
+    field = order.field
     if a.is_zero():
         raise ValueError("zero element has no divisor")
-    over_max = Divisor(LEVEL_NORMALIZATION, element_divisor(order.field, a))
+    over_max = Divisor(LEVEL_NORMALIZATION, element_divisor(field, a))
     return pushforward(order, over_max)
 
 
@@ -297,11 +346,7 @@ def kernel_generators(order: OrderData):
     """
     out = []
     for prime in order.primes:
-        q = {}
-        for pl, lam in zip(prime.places, prime.lambdas):
-            if lam:
-                q[pl.label] = q.get(pl.label, 0) + lam
-        q_div = Divisor(LEVEL_NORMALIZATION, q)
+        q_div = q_divisor(prime)
         for pl in prime.places:
             gen = (pl.degree // prime.g) * q_div - Divisor(
                 LEVEL_NORMALIZATION, {pl.label: 1})
@@ -309,17 +354,40 @@ def kernel_generators(order: OrderData):
     return out
 
 
+def q_divisor(prime: NonInvertiblePrime) -> Divisor:
+    """Q_i = sum(lambda_{i,j} * P_{i,j}) over the normalization."""
+    return Divisor(LEVEL_NORMALIZATION, {
+        pl.label: lam for pl, lam in zip(prime.places, prime.lambdas)})
+
+
 def divisor_to_ideal(order: OrderData, D: Divisor) -> QIdeal:
     """Product of place ideals given a divisor over the normalization."""
-    if not order.is_quadratic:
-        raise BackendError("declared backend has no ideal arithmetic")
+    field = order.field
     if D.level != LEVEL_NORMALIZATION:
         raise ValueError("expected a divisor over the normalization")
-    acc = QIdeal.unit_ideal(order.field)
+    acc = QIdeal.unit_ideal(field)
     for label in sorted(D.support):
-        place = resolve_place(order.field, label)
-        acc = acc * prime_to_ideal(order.field, place) ** D.support[label]
+        place = resolve_place(field, label)
+        acc = acc * prime_to_ideal(field, place) ** D.support[label]
     return acc
+
+
+def _violator(places, k):
+    """Label of the first place failing Furtwaengler's criterion, or None.
+
+    ``places`` are the places over one prime and ``k`` their exponents in
+    the ideal.  A place with residue field F_p (degree 1) whose exponent is
+    1 + t*e fails unless some other place has an exponent above t times its
+    own e.
+    """
+    for i, pl in enumerate(places):
+        if pl.degree != 1 or (k[i] - 1) % pl.e:
+            continue
+        threshold = (k[i] - 1) // pl.e
+        if not any(k[j] > threshold * other.e
+                   for j, other in enumerate(places) if j != i):
+            return pl.label
+    return None
 
 
 def conductor_test(field: QuadField, exponents):
@@ -341,20 +409,9 @@ def conductor_test(field: QuadField, exponents):
         kmap[place.label] = k
     for p in sorted(by_p):
         places = splitting(field, p)
-        kvec = {pl.label: by_p[p].get(pl.label, 0) for pl in places}
-        for pl in places:
-            if pl.degree != 1:
-                continue  # residue field is not F_p
-            ki = kvec[pl.label]
-            if (ki - 1) % pl.e:
-                continue
-            threshold = (ki - 1) // pl.e
-            ok = any(
-                kvec[other.label] > threshold * other.e
-                for other in places if other.label != pl.label
-            )
-            if not ok:
-                return False, pl.label
+        viol = _violator(places, [by_p[p].get(pl.label, 0) for pl in places])
+        if viol is not None:
+            return False, viol
     return True, None
 
 
@@ -364,29 +421,21 @@ def is_conductor_ideal(field: QuadField, exponents) -> bool:
     return ok
 
 
-def declared_conductor_test(order: OrderData):
-    """Furtwaengler verdict for a declared order's conductor.
+def order_conductor_test(order: OrderData):
+    """Furtwaengler verdict for the conductor of an order.
 
-    The declared conductor is the product of the listed places, each to its
-    ramification exponent; the place tables of the selection are taken as
-    complete (places left out carry exponent zero and can neither satisfy
-    nor trigger the criterion).
+    The conductor is the product of the places over each non-invertible
+    prime, each to ``conductor_exponent(prime) * e``.  A declared record's
+    place list is taken as complete; a prime whose residue field is larger
+    than F_p has no place with residue field F_p.
     """
     for prime in order.primes:
-        p = prime.p
-        for pl in prime.places:
-            if not (prime.residue_size == p and pl.degree == 1):
-                continue
-            ki = pl.e
-            if (ki - 1) % pl.e:
-                continue
-            threshold = (ki - 1) // pl.e
-            ok = any(
-                other.e > threshold * other.e
-                for other in prime.places if other.label != pl.label
-            )
-            if not ok:
-                return False, pl.label
+        if prime.residue_size != prime.p:
+            continue
+        v = order.conductor_exponent(prime)
+        viol = _violator(prime.places, [v * pl.e for pl in prime.places])
+        if viol is not None:
+            return False, viol
     return True, None
 
 
@@ -433,41 +482,31 @@ class FixReport:
     all_residue_f2: bool
     all_r_geq_2: bool
     equivalent_conditions_hold: bool
-    residue_unit_order: int = None       # |(O~/F)^*|, quadratic backend only
+    residue_unit_order: int = None       # |(O~/F)^*|, None when unknown
     residue_units_trivial: bool = None
 
 
 def prop_fix_report(order: OrderData) -> FixReport:
     """Report on the equivalent conditions for O^* = O~^* and Pic = Cl."""
+    n = order.residue_unit_order()
+    trivial = None if n is None else n == 1
     if order.is_maximal:
-        report = FixReport(True, True, True, True, True)
-        if order.is_quadratic:
-            report.residue_unit_order = 1
-            report.residue_units_trivial = True
-        return report
+        return FixReport(True, True, True, True, True, n, trivial)
     squarefree = True
     residue_f2 = True
     r_geq_2 = True
     for prime in order.primes:
         if len(prime.places) < 2:
             r_geq_2 = False
-        if order.is_quadratic:
-            if factorize(order.conductor)[prime.p] > 1:
-                squarefree = False
+        if order.conductor_exponent(prime) > 1:
+            squarefree = False
         for pl in prime.places:
             if pl.e != 1:
                 squarefree = False
             if not (prime.residue_size == 2 and pl.degree == 1):
                 residue_f2 = False
     hold = squarefree and residue_f2 and r_geq_2
-    report = FixReport(False, squarefree, residue_f2, r_geq_2, hold)
-    if order.is_quadratic:
-        from .quadfield import residue_unit_cardinality
-
-        n = residue_unit_cardinality(order.field, order.conductor)
-        report.residue_unit_order = n
-        report.residue_units_trivial = n == 1
-    return report
+    return FixReport(False, squarefree, residue_f2, r_geq_2, hold, n, trivial)
 
 
 def divisor_kernel_witness(order: OrderData, bound: int = 3):
@@ -479,11 +518,9 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
     through its generator.  ``None`` only means the coefficient bound was
     exhausted.
     """
-    if not order.is_quadratic:
-        raise BackendError("declared backend has no element arithmetic")
+    field = order.field
     if order.is_maximal:
         raise ValueError("the maximal order admits no witness")
-    field = order.field
     f = order.conductor
 
     def outside(u):
@@ -517,8 +554,6 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
             continue
         ideal = divisor_to_ideal(order, div)
         if cg.dlog(ideal).is_identity():
-            from .quadfield import is_principal
-
             alpha = is_principal(field, ideal)
             if alpha is not None:
                 return alpha

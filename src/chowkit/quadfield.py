@@ -446,14 +446,6 @@ def prime_to_ideal(field: QuadField, place: PrimePlace) -> QIdeal:
     return QIdeal(field, place.p, place.b)
 
 
-def ideal_mul(field: QuadField, I: QIdeal, J: QIdeal) -> QIdeal:
-    return I * J
-
-
-def ideal_norm(field: QuadField, I: QIdeal) -> Fraction:
-    return I.norm()
-
-
 def ord_at(field: QuadField, place: PrimePlace, a: QElement) -> int:
     """Exponent of the place in the factorization of a*Z[w]."""
     if a.is_zero():
@@ -773,11 +765,6 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
     with _CACHE_LOCK:
         _CLASS_CACHE.setdefault(d, data)
     return data
-
-
-def ideal_class(field: QuadField, I: QIdeal):
-    """Coordinates of [I] in the class group."""
-    return class_group(field).dlog(I)
 
 
 def fundamental_unit(field: QuadField) -> QElement:

@@ -1,0 +1,138 @@
+"""The two order backends: what a declared order refuses, Furtwaengler verdicts
+as order-info prints them, and the public namespace."""
+
+import json
+import random
+
+import pytest
+
+import chowkit
+from chowkit.chow import pic_cardinality
+from chowkit.cli import main
+from chowkit.declared import declared_order, load_declared
+from chowkit.errors import BackendError
+from chowkit.ntheory import factorize
+from chowkit.orders import (
+    LEVEL_NORMALIZATION,
+    Divisor,
+    conductor_test,
+    div_over_order,
+    divisor_kernel_witness,
+    divisor_to_ideal,
+)
+from chowkit.quadfield import QElement, make_field, splitting
+from util import fundamental_discriminants
+
+BIQUAD = "data/biquad.decl"
+
+
+_DECLARED_REFUSES = {
+    "div_over_order": lambda o: div_over_order(o, QElement(make_field(-7), 1, 1, 1)),
+    "divisor_to_ideal": lambda o: divisor_to_ideal(
+        o, Divisor(LEVEL_NORMALIZATION, {"P": 1})),
+    "divisor_kernel_witness": divisor_kernel_witness,
+    "pic_cardinality": pic_cardinality,
+    "invertible_place_class": lambda o: o.invertible_place_class("P"),
+}
+
+
+@pytest.mark.parametrize("selection", [["main"], []])
+@pytest.mark.parametrize("call", sorted(_DECLARED_REFUSES))
+def test_declared_order_has_no_field_arithmetic(call, selection):
+    order = declared_order(load_declared(BIQUAD), selection)
+    with pytest.raises(BackendError):
+        _DECLARED_REFUSES[call](order)
+
+
+def _furtwangler_line(capsys, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [l for l in lines if l.startswith("conductor ideal (Furtwangler): ")]
+    return line.split(": ", 1)[1]
+
+
+def test_quadratic_order_conductors_pass_furtwangler(capsys):
+    # Z + f*O~ has conductor ideal f*O~: the verdict is always yes, and it is
+    # the verdict of conductor_test on the exponents v_p(f) * e
+    for d in fundamental_discriminants(60):
+        F = make_field(d)
+        for f in range(2, 9):
+            exps = {pl.label: v * pl.e for p, v in factorize(f).items()
+                    for pl in splitting(F, p)}
+            assert conductor_test(F, exps) == (True, None)
+            verdict = _furtwangler_line(
+                capsys, ["order-info", "--disc", str(d), "--conductor", str(f)])
+            assert verdict == "yes", (d, f)
+
+
+def _closed_form(decl, selection):
+    """Furtwaengler on a declared conductor (each place to its exponent e):
+    a place with residue field F_p and e = 1 fails when it is the only place
+    of its record; nothing else can fail."""
+    for label in selection:
+        rec = decl.prime(label)
+        for pl in rec.places:
+            if (rec.residue_size_below == rec.p and pl.degree == 1
+                    and pl.ramification == 1 and len(rec.places) == 1):
+                return f"no (violator: {pl.label})"
+    return "yes"
+
+
+def _random_document(rng):
+    invariants = rng.choice([[], [2], [2, 4], [3]])
+    recs = []
+    n_place = 0
+    for i in range(rng.randint(1, 4)):
+        p = rng.choice([2, 3, 5, 7])
+        places = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            n_place += 1
+            places.append({
+                "label": f"P{n_place}",
+                "degree": rng.choice([1, 1, 2, 3]),
+                "ramification": rng.choice([1, 1, 2, 3]),
+                "class_image": [rng.randrange(m) for m in invariants],
+            })
+        recs.append({"label": f"r{i}", "p": p,
+                     "residue_size_below": p ** rng.choice([1, 1, 2]),
+                     "places": places})
+    return {"description": "random", "class_invariants": invariants,
+            "conductor_primes": recs}
+
+
+def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
+    path = tmp_path / "doc.decl"
+    inline = {
+        "description": "one degree-1 unramified place alone over F_3",
+        "class_invariants": [],
+        "conductor_primes": [
+            {"label": "a", "p": 5, "residue_size_below": 5, "places": [
+                {"label": "A1", "degree": 1, "ramification": 1, "class_image": []},
+                {"label": "A2", "degree": 2, "ramification": 1, "class_image": []}]},
+            {"label": "b", "p": 3, "residue_size_below": 3, "places": [
+                {"label": "B", "degree": 1, "ramification": 1, "class_image": []}]},
+        ],
+    }
+    path.write_text(json.dumps(inline))
+    argv = ["order-info", "--data", str(path), "--order"]
+    assert _furtwangler_line(capsys, argv + ["a,b"]) == "no (violator: B)"
+    assert _furtwangler_line(capsys, argv + ["a"]) == "yes"
+
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(150):
+        doc = _random_document(rng)
+        path.write_text(json.dumps(doc))
+        decl = load_declared(path)
+        labels = list(decl.prime_labels)
+        selection = rng.sample(labels, rng.randint(1, len(labels)))
+        expected = _closed_form(decl, selection)
+        seen.add(expected == "yes")
+        assert _furtwangler_line(capsys, argv + [",".join(selection)]) == expected
+    assert seen == {True, False}
+
+
+def test_public_names_resolve():
+    assert len(set(chowkit.__all__)) == len(chowkit.__all__)
+    for name in chowkit.__all__:
+        assert getattr(chowkit, name) is not None, name

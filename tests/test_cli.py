@@ -21,6 +21,14 @@ WORKED_INVOCATIONS = [
      "conductor-test_disc-7.txt", 1),
     (["chow", "--data", "data/biquad.decl", "--order", "main"],
      "chow_biquad_main.txt", 0),
+    (["order-info", "--data", "data/biquad.decl", "--order", "main"],
+     "order-info_biquad_main.txt", 0),
+    (["order-info", "--data", "data/quintic.decl", "--order", "p1,p2"],
+     "order-info_quintic_p1p2.txt", 0),
+    (["principal", "--data", "data/biquad.decl", "--order", "main",
+      "--divisor", "main:4"], "principal_biquad_main4.txt", 0),
+    (["principal", "--data", "data/biquad.decl", "--order", "main",
+      "--divisor", "main:2"], "principal_biquad_main2.txt", 1),
 ]
 
 

@@ -15,7 +15,6 @@ from chowkit.orders import (
     kernel_generators,
     local_chow,
     local_chow_at,
-    noninvertible_primes,
     order_from_conductor,
     order_from_ideal,
     prop_fix_report,
@@ -39,7 +38,7 @@ def test_order_from_conductor_examples():
     assert p3.g == 2
 
     assert order_from_conductor(F, 1).is_maximal
-    assert noninvertible_primes(order_from_conductor(F, 1)) == []
+    assert list(order_from_conductor(F, 1).primes) == []
 
 
 def test_local_chow():

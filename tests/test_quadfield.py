@@ -13,7 +13,6 @@ from chowkit.quadfield import (
     class_group,
     element_divisor,
     fundamental_unit,
-    ideal_class,
     is_principal,
     make_field,
     ord_at,
@@ -211,7 +210,8 @@ def test_ideal_class_is_homomorphism():
         for _ in range(25):
             I = rng.choice(pool) * rng.choice(pool)
             J = rng.choice(pool)
-            assert ideal_class(F, I * J) == ideal_class(F, I) + ideal_class(F, J)
+            cg = class_group(F)
+            assert cg.dlog(I * J) == cg.dlog(I) + cg.dlog(J)
 
 
 def test_is_principal_agrees_with_class():
@@ -232,7 +232,7 @@ def test_is_principal_agrees_with_class():
         for _ in range(12):
             I = rng.choice(pool) * rng.choice(pool)
             g = is_principal(F, I)
-            trivial = ideal_class(F, I).is_identity()
+            trivial = class_group(F).dlog(I).is_identity()
             assert (g is not None) == trivial, (d, I)
             if g is not None:
                 assert principal_ideal(g) == I

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 from chowkit import FieldInputError, make_field
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
+from chowkit.orders import QuadraticOrder
 from chowkit.quadfield import class_group
 
 
@@ -111,7 +112,7 @@ def transcribe_to_declared(order, reverse_places=False):
     with their degrees, ramification exponents and class images; optionally
     reverses each place list to exercise a different Bezout/Q_i choice.
     """
-    assert order.is_quadratic
+    assert isinstance(order, QuadraticOrder)
     cg = class_group(order.field)
     invariants = list(cg.group.invariant_factors)
     recs = []
