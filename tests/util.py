@@ -5,7 +5,7 @@ from math import gcd, isqrt
 from chowkit import FieldInputError, make_field
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.orders import QuadraticOrder
-from chowkit.quadfield import class_group
+from chowkit.quadfield import class_group, fundamental_unit
 
 
 def fundamental_discriminants(bound, sign=None):
@@ -81,6 +81,20 @@ def reduced_cycle_count(d):
             seen.add(f)
             f = neighbour(f)
     return cycles
+
+
+def unit_index_by_powers(field, f):
+    """[O~^* : O^*] for O = Z + f*O~ in a real field, from the definition.
+
+    The least k >= 1 with eps^k in Z + f*O~ (omega-coordinate divisible by
+    f), found by multiplying the fundamental unit out at full precision.
+    """
+    eps = fundamental_unit(field)
+    k, u = 1, eps
+    while u.omega_coords()[1] % f:
+        u = u * eps
+        k += 1
+    return k
 
 
 def quotient_ring_kind_mod2(d):
