@@ -243,7 +243,18 @@ class PicReport:
 
 
 def pic_cardinality(order: OrderData) -> PicReport:
-    """Picard group cardinality from the unit/class exact sequence."""
+    """|Pic(O)| for O = Z + f*O~, from the unit/class exact sequence.
+
+    The sequence 1 -> O~^*/O^* -> (O~/f)^*/(Z/f)^* -> Pic(O) -> Cl -> 1
+    (Neukirch, Algebraic Number Theory, I Sec. 12) gives
+    |Pic| = h * rel / [O~^* : O^*] with rel = |(O~/f)^*| / phi(f).  In a
+    real field the unit index is the order of eps in the group
+    (O~/f)^*/(Z/f)^* of order rel, since eps^k lies in O exactly when its
+    omega-coordinate is divisible by f.  It is found from rel by order
+    finding (Cohen, GTM 138, Sec. 1.4): for each prime q | rel, k is divided
+    by q while eps^(k/q) still lies in O; each test is one square-and-
+    multiply in Z[w]/f, with w^2 = d*w - (d^2 - d)/4.
+    """
     field = order.field
     f = order.conductor
     h = field_class_group(field).group.cardinality()
@@ -259,14 +270,27 @@ def pic_cardinality(order: OrderData) -> PicReport:
     if field.is_imaginary:
         idx = unit_group_order(field) // 2
     else:
-        eps = fundamental_unit(field)
-        idx = 1
-        u = eps
-        while u.omega_coords()[1] % f:
-            u = u * eps
-            idx += 1
-            if idx > resid:
-                raise RuntimeError("unit index exceeded the residue bound; bug")
+        d, n = field.d, field.omega_norm
+        u, v, _ = fundamental_unit(field).omega_coords()
+
+        def in_order(k):
+            """Whether eps^k lies in Z + f*O~."""
+            ra, rb, a, b = 1, 0, u % f, v % f
+            while k:
+                if k & 1:
+                    t = rb * b
+                    ra, rb = (ra * a - n * t) % f, (ra * b + rb * a + d * t) % f
+                t = b * b
+                a, b = (a * a - n * t) % f, (2 * a * b + d * t) % f
+                k >>= 1
+            return rb == 0
+
+        if not in_order(rel):
+            raise RuntimeError("eps^rel is not in Z + f*O~; bug")
+        idx = rel
+        for q in factorize(rel):
+            while idx % q == 0 and in_order(idx // q):
+                idx //= q
     num = h * rel
     if num % idx:
         raise RuntimeError("Picard cardinality is not integral; bug")
@@ -278,11 +302,20 @@ class PicChowReport:
     surjective: bool
     injective: object                # True / False / None ("unknown")
     reasons: tuple
+    pic: PicReport = None            # None on the declared backend
 
 
 def pic_chow_report(order: OrderData) -> PicChowReport:
-    """Injectivity and surjectivity of the canonical map Pic -> Chow."""
+    """Injectivity and surjectivity of the canonical map Pic -> Chow.
+
+    The report carries the order's ``pic_cardinality``, computed once here,
+    so a caller that prints both needs no second unit computation.
+    """
     cl, _, n_gens = order.fabric
+    try:
+        pic = pic_cardinality(order)
+    except BackendError:
+        pic = None
     reasons = []
     surjective = all(p.g == 1 for p in order.primes)
     if surjective:
@@ -293,20 +326,18 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
     kernel_trivial = all(g.is_identity() for g in n_gens)
     if not kernel_trivial:
         reasons.append("push-forward kernel has nontrivial classes")
-        return PicChowReport(surjective, False, tuple(reasons))
-    try:
-        pic = pic_cardinality(order).pic_cardinality
-    except BackendError:
+        return PicChowReport(surjective, False, tuple(reasons), pic)
+    if pic is None:
         reasons.append("unit data unavailable on the declared backend")
         return PicChowReport(surjective, None, tuple(reasons))
     h = cl.cardinality()
-    injective = pic == h
+    injective = pic.pic_cardinality == h
     reasons.append(
-        f"|Pic| = {pic} and |Cl| = {h} "
+        f"|Pic| = {pic.pic_cardinality} and |Cl| = {h} "
         + ("agree" if injective else "differ")
         + "; kernel classes trivial"
     )
-    return PicChowReport(surjective, injective, tuple(reasons))
+    return PicChowReport(surjective, injective, tuple(reasons), pic)
 
 
 def find_trivial_chow_conductor(field: QuadField, prime_budget: int = 100):

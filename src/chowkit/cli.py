@@ -27,7 +27,6 @@ from .chow import (
     chow_group,
     exact_sequence_data,
     find_trivial_chow_conductor,
-    pic_cardinality,
     pic_chow_report,
     principal_divisor_test,
 )
@@ -279,9 +278,9 @@ def cmd_order_info(args):
     if fix.residue_unit_order is not None:
         lines.append(f"residue units |(O~/F)*|: {fix.residue_unit_order}")
 
-    try:
-        pic = pic_cardinality(order)
-    except BackendError:
+    pc = pic_chow_report(order)
+    pic = pc.pic
+    if pic is None:
         doc["pic"] = None
         lines.append("Pic: unavailable (declared backend)")
     else:
@@ -295,7 +294,6 @@ def cmd_order_info(args):
             f"Pic: |Pic| = {pic.pic_cardinality} (|Cl| = {pic.cl_cardinality}, "
             f"unit index {pic.unit_index}, relative units {pic.relative_unit_quotient})")
 
-    pc = pic_chow_report(order)
     doc["pic_chow"] = {"surjective": pc.surjective, "injective": pc.injective}
     inj = "unknown" if pc.injective is None else yn(pc.injective)
     lines.append(f"Pic -> Chow: surjective {yn(pc.surjective)}; injective {inj}")

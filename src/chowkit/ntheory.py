@@ -1,12 +1,23 @@
 """Elementary exact number theory at desk scale.
 
-Trial factorization is plenty here: every integer we factor is a conductor,
-a small element norm, or a prime bound, all comfortably below 2**64.
+``factorize`` divides out 2, 3 and the 6k +- 1 wheel below ``_TRIAL_LIMIT``,
+which factors every integer below ``_TRIAL_LIMIT**2`` (2**24) completely,
+with no other work: conductors, discriminant cores and small norms stay on
+this path.  A larger cofactor is either prime, by the deterministic
+Miller-Rabin test ``is_prime``, or split by Pollard's rho with Brent's cycle
+search (R. P. Brent, BIT 20 (1980) 176-184), whose cost grows like the
+square root of the least prime factor left.  So a prime near 2**61, a
+60-bit discriminant core or the product of two 30-bit primes factors in
+milliseconds, while a product of two primes above 2**50 (some 2**25 rho
+steps) is out of reach.
 """
 
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_LIMIT = 1 << 12
+_RHO_BATCH = 64              # rho steps per gcd
 
 
 def is_prime(n: int) -> bool:
@@ -33,7 +44,7 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization of |n| by trial division, as {p: e}."""
+    """Prime factorization of |n| as {p: e}, primes in ascending order."""
     n = abs(n)
     if n <= 1:
         return {}
@@ -43,15 +54,62 @@ def factorize(n: int) -> dict:
             out[p] = out.get(p, 0) + 1
             n //= p
     p = 5
-    while p * p <= n:
-        for q in (p, p + 2):  # 6k +- 1 wheel
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
+    while p * p <= n and p < _TRIAL_LIMIT:  # the 6k +- 1 wheel: p and p + 2
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        q = p + 2
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
         p += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    if p * p > n:
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    # n has no prime factor below p > _TRIAL_LIMIT
+    rest = [n]
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            g = _rho_brent(m)
+            rest += (g, m // g)
+    return dict(sorted(out.items()))
+
+
+def _rho_brent(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard rho, Brent's variant.
+
+    Iterates y -> y^2 + c mod n from y = 2, comparing y with the value x it
+    had at the last power of two; the differences are multiplied together
+    and one gcd is taken per ``_RHO_BATCH`` steps.  A batch that overshoots
+    to the gcd n is replayed one step at a time; a cycle with no proper
+    factor moves on to the next c.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def primes_below(limit: int) -> list:

@@ -242,7 +242,10 @@ class DeclaredOrder(OrderData):
             "declared data carries no class images outside the conductor")
 
     def place_label(self, token):
-        """Declared data knows no places outside the selected records."""
+        """The token itself when it names a place of a selected record;
+        declared data knows no other places."""
+        if token in self._place_to_prime:
+            return token
         raise PlaceResolutionError(
             f"{token!r} is not a conductor prime of the selection")
 
@@ -318,13 +321,13 @@ def pushforward(order: OrderData, D: Divisor) -> Divisor:
         raise ValueError("pushforward expects a divisor over the normalization")
     out = {}
     for label, coeff in D.support.items():
+        label = order.place_label(label)
         hit = order.prime_for_place(label)
-        if hit is not None:
+        if hit is None:
+            out[label] = out.get(label, 0) + coeff  # invertible: degree 1
+        else:
             prime, pl = hit
             out[prime.label] = out.get(prime.label, 0) + coeff * pl.degree
-            continue
-        label = order.place_label(label)
-        out[label] = out.get(label, 0) + coeff  # invertible: degree 1
     return Divisor(LEVEL_ORDER, out)
 
 

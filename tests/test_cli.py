@@ -1,11 +1,13 @@
 """CLI: golden transcripts, exit codes, machine/text agreement."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from chowkit.cli import build_parser, main
+from chowkit.quadfield import MAX_CLASS_DISC
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,6 +187,16 @@ def test_bound_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
+def test_declared_place_token_resolves_to_its_record(capsys):
+    # over the conductor a place resolves to its prime, as 2.0 does to 2
+    code, out = run(capsys, ["principal", "--data", "data/biquad.decl", "--order", "main",
+                             "--divisor", "P:4"])
+    assert code == 0 and out == (GOLDEN / "principal_biquad_main4.txt").read_text()
+    assert main(["principal", "--data", "data/biquad.decl", "--order", "main",
+                 "--divisor", "R:4"]) == 2
+    assert capsys.readouterr().err == "error: 'R' is not a conductor prime of the selection\n"
+
+
 def test_data_errors(capsys):
     assert main(["chow", "--data", "no/such/file.decl"]) == 3
     capsys.readouterr()
@@ -204,3 +216,30 @@ def test_quintic_selections(capsys):
         assert out.splitlines()[0] == f"Chow: {inv}"
     code, out = run(capsys, ["chow", "--data", "data/quintic.decl", "--order", "none"])
     assert code == 0 and out.splitlines()[0] == "Chow: trivial"
+
+
+# -1073741789 * 1073741827: a 60-bit fundamental discriminant, two 30-bit primes
+BIG_DISC = -1152921470247108503
+
+
+@pytest.mark.parametrize("command", ["chow", "order-info"])
+def test_large_discriminant_fails_fast(capsys, command):
+    # the discriminant is validated (its core factored) and refused by the
+    # class-group bound before any class-group work
+    start = time.perf_counter()
+    code = main([command, "--disc", str(BIG_DISC)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: |discriminant| {-BIG_DISC} exceeds the bound "
+                            f"{MAX_CLASS_DISC}\n")
+    assert elapsed < 1.0, elapsed
+
+
+def test_conductor_test_near_1e18(capsys):
+    # p = 10^18 + 3 is prime and 3 mod 4, so -p is fundamental; 2 is inert
+    start = time.perf_counter()
+    code, out = run(capsys, ["conductor-test", "--disc", str(-(10**18 + 3)),
+                             "--ideal", "2:1"])
+    assert (code, out) == (0, "yes\n")
+    assert time.perf_counter() - start < 1.0

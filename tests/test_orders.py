@@ -4,9 +4,13 @@ import random
 
 import pytest
 
-from chowkit.errors import NotConductorIdealError
+from chowkit.chow import principal_divisor_test
+from chowkit.declared import declared_order, load_declared
+from chowkit.errors import NotConductorIdealError, PlaceResolutionError
+from chowkit.ntheory import primes_below
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
+    LEVEL_ORDER,
     Divisor,
     conductor_test,
     div_over_order,
@@ -64,6 +68,48 @@ def test_pushforward_examples():
     # invertible places push with degree 1
     D5 = Divisor(LEVEL_NORMALIZATION, {"11.0": 2})
     assert pushforward(O, D5).support == {"11.0": 2}
+
+
+def _spellings(place):
+    """Every label of the place: p.branch, also signed or zero-padded, and
+    the bare p when it is the only place over p."""
+    p, b = place.p, place.branch
+    out = [f"{p}.{b}", f"+{p}.{b}", f"0{p}.{b}", f"{p}.0{b}"]
+    if place.unique:
+        out += [f"{p}", f"+{p}", f"0{p}"]
+    return out
+
+
+def test_pushforward_reads_every_spelling_of_a_place():
+    # 3 is inert in Q(sqrt(-7)): its place has degree 2 over the conductor 3
+    O = order_from_conductor(make_field(-7), 3)
+    for label in ("3", "3.0", "03"):
+        assert pushforward(O, Divisor(LEVEL_NORMALIZATION, {label: 1})).support == {"3": 2}
+    decl = declared_order(load_declared("data/biquad.decl"), ["main"])
+    assert pushforward(decl, Divisor(LEVEL_NORMALIZATION, {"P": 1})).support == {"main": 2}
+    with pytest.raises(PlaceResolutionError):
+        pushforward(decl, Divisor(LEVEL_NORMALIZATION, {"R": 1}))
+
+
+def test_spelling_does_not_change_pushforward_or_principal_test():
+    # property: every spelling of a place gives the same push-forward and
+    # the same principal-test verdict and generator, over the conductor
+    # (through the push-forward) and at invertible places (directly)
+    for d, f in ((-7, 3), (-7, 6), (-4, 15), (-23, 6), (-15, 10), (5, 6), (40, 21)):
+        F = make_field(d)
+        O = order_from_conductor(F, f)
+        for p in primes_below(14):
+            for place in splitting(F, p):
+                for c in (1, 2):
+                    seen = set()
+                    for label in _spellings(place):
+                        D = pushforward(O, Divisor(LEVEL_NORMALIZATION, {label: c}))
+                        res = principal_divisor_test(O, D)
+                        seen.add((D, res.status, res.failing_step, res.generator))
+                        if f % p:
+                            res = principal_divisor_test(O, Divisor(LEVEL_ORDER, {label: c}))
+                            seen.add((D, res.status, res.failing_step, res.generator))
+                    assert len(seen) == 1, (d, f, place.label, c, seen)
 
 
 def test_pushforward_image_is_g_multiples():

@@ -1,8 +1,11 @@
 """|Pic| of Z + f*O~ against form counts, and the unit index against its definition."""
 
+import time
+
 import pytest
 
 from chowkit.chow import pic_cardinality
+from chowkit.ntheory import factorize
 from chowkit.orders import order_from_conductor
 from chowkit.quadfield import fundamental_unit, make_field, reduced_form_count
 from util import fundamental_discriminants, reduced_cycle_count, unit_index_by_powers
@@ -38,3 +41,41 @@ def test_unit_index_matches_power_loop(d):
     for f in range(2, 120):
         rep = pic_cardinality(order_from_conductor(F, f))
         assert rep.unit_index == unit_index_by_powers(F, f), (d, f)
+
+
+def _eps_order_by_matrix(F, f, k):
+    """Whether eps^k lies in Z + f*O~, by powering the matrix of eps mod f.
+
+    Multiplication by eps = u + v*w on the basis (1, w), w^2 = d*w - n, has
+    the matrix [[u, -n*v], [v, u + d*v]]; eps^k = M^k (1, 0)^T.
+    """
+    u, v, _ = fundamental_unit(F).omega_coords()
+    d, n = F.d, F.omega_norm
+    M = ((u % f, -n * v % f), (v % f, (u + d * v) % f))
+    R = ((1, 0), (0, 1))
+
+    def mul(A, B):
+        return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(2)) % f
+                           for j in range(2)) for i in range(2))
+
+    while k:
+        if k & 1:
+            R = mul(R, M)
+        M = mul(M, M)
+        k >>= 1
+    return R[1][0] == 0
+
+
+@pytest.mark.parametrize("f", [10007, 10**9 + 7, 2**61 - 1])
+def test_unit_index_reach(f):
+    # far beyond the reach of multiplying eps out: the index is checked
+    # against its definition, as the exact order of eps modulo Z + f*O~
+    F = make_field(409)
+    start = time.perf_counter()
+    rep = pic_cardinality(order_from_conductor(F, f))
+    assert time.perf_counter() - start < 2.0
+    idx = rep.unit_index
+    assert _eps_order_by_matrix(F, f, idx)
+    for q in factorize(idx):
+        assert not _eps_order_by_matrix(F, f, idx // q), q
+    assert rep.pic_cardinality * idx == rep.cl_cardinality * rep.relative_unit_quotient
