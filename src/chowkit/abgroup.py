@@ -60,19 +60,12 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __getitem__(self, key):
         i, j = key
         return self._data[i][j]
 
     def row(self, i):
         return self._data[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self._data)
 
     def tolists(self):
         return [list(r) for r in self._data]
@@ -301,10 +294,9 @@ def _canonical(coords, factors):
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form."""
 
-    __slots__ = ("invariant_factors", "generator_labels", "basis_change", "generator_lifts")
+    __slots__ = ("invariant_factors", "basis_change", "generator_lifts")
 
-    def __init__(self, invariant_factors, generator_labels=None, basis_change=None,
-                 generator_lifts=None):
+    def __init__(self, invariant_factors, basis_change=None, generator_lifts=None):
         factors = tuple(int(d) for d in invariant_factors)
         seen_zero = False
         for i, d in enumerate(factors):
@@ -319,13 +311,6 @@ class AbelianGroup:
                     raise ValueError(f"divisibility chain broken at {factors[i - 1]} | {d}")
         self.invariant_factors = factors
         k = len(factors)
-        if generator_labels is None:
-            generator_labels = tuple(f"e{i + 1}" for i in range(k))
-        else:
-            generator_labels = tuple(generator_labels)
-            if len(generator_labels) != k:
-                raise ValueError("one label per invariant factor")
-        self.generator_labels = generator_labels
         self.basis_change = IntMatrix.identity(k) if basis_change is None else basis_change
         self.generator_lifts = IntMatrix.identity(k) if generator_lifts is None else generator_lifts
         if self.basis_change.cols != k or self.generator_lifts.rows != k:
@@ -434,7 +419,7 @@ class GroupElement:
         return f"GroupElement{self.coords!r}"
 
 
-def quotient(n_generators, relations, labels=None):
+def quotient(n_generators, relations):
     """Cokernel of a relation matrix: Z^n modulo the row lattice.
 
     ``relations`` rows are relations among n free generators.  The returned
@@ -455,8 +440,7 @@ def quotient(n_generators, relations, labels=None):
     basis = IntMatrix(_apply_col_ops(col_ops, _unit_rows(n, kept)), cols=len(kept))
     lifts = IntMatrix(zip(*_apply_col_ops(col_ops, _unit_rows(n, kept), inverse=True)),
                       cols=n)
-    return AbelianGroup(factors, generator_labels=labels, basis_change=basis,
-                        generator_lifts=lifts)
+    return AbelianGroup(factors, basis_change=basis, generator_lifts=lifts)
 
 
 def element_order(G, g):

@@ -25,6 +25,7 @@ from .abgroup import (
     GroupElement,
     IntMatrix,
     direct_sum_invariants,
+    element_order,
     quotient,
     solve_combination,
     subgroup_quotient,
@@ -47,7 +48,6 @@ from .quadfield import (
     fundamental_unit,
     is_principal,
     _splitting,
-    residue_unit_cardinality,
     unit_group_order,
 )
 
@@ -179,8 +179,11 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     Steps: (1) membership in the push-forward image (g_i divides the
     coefficient at p_i); (2) lift to an ideal of the normalization using the
     Bezout data; (3)-(4) class group and kernel generators; (5) test the
-    lift's class against the kernel subgroup; (6) correct by a kernel ideal
-    and extract a generator.  Declared orders, which have no ideal
+    lift's class against the kernel subgroup; (6) correct the lift by a
+    kernel ideal, its coefficients taken as balanced residues modulo the
+    orders of their classes, and recover a generator of the corrected lift
+    by reduction (``is_principal``), within ``max_steps`` reduction and
+    cycle steps when given.  Declared orders, which have no ideal
     arithmetic, stop after step (5).
     """
     if D.level != LEVEL_ORDER:
@@ -222,12 +225,17 @@ def principal_divisor_test(order: OrderData, D: Divisor,
                                detail="declared backend stops after the class test")
 
     # step 6: the lift A = sum (a_i/g_i) Q_i + invertible part, corrected by
-    # the kernel divisor B = sum x_k * gen_k, as one ideal; extract a generator
+    # the kernel divisor B = sum x_k * gen_k, as one ideal; extract a generator.
+    # x_k matters only modulo the order m_k of the class of gen_k (m_k * gen_k
+    # is principal and pushes forward to 0): its balanced residue keeps the
+    # ideal small.
     div = Divisor(LEVEL_NORMALIZATION, invertible)
     for prime in order.primes:
         div = div + (D.coefficient(prime.label) // prime.g) * q_divisor(prime)
-    for coeff, gen_div in zip(x, kernel_generators(order)):
-        div = div + coeff * gen_div
+    for coeff, gen_div, c in zip(x, kernel_generators(order), n_gens):
+        m = element_order(cl, c)
+        coeff %= m
+        div = div + (coeff - m if 2 * coeff > m else coeff) * gen_div
     alpha = is_principal(field, divisor_to_ideal(order, div), max_steps=max_steps)
     if alpha is None:
         raise RuntimeError("trivial ideal class without a generator; this is a bug")
@@ -260,10 +268,10 @@ def pic_cardinality(order: OrderData) -> PicReport:
     h = field_class_group(field).group.cardinality()
     if f == 1:
         return PicReport(h, 1, 1, h)
-    resid = residue_unit_cardinality(field, f)
+    resid = order.residue_unit_order()
     phi = 1
-    for p, e in factorize(f).items():
-        phi *= p ** (e - 1) * (p - 1)
+    for prime in order.primes:
+        phi *= prime.p ** (order.conductor_exponent(prime) - 1) * (prime.p - 1)
     if resid % phi:
         raise RuntimeError("residue unit count not divisible by phi(f); bug")
     rel = resid // phi

@@ -10,7 +10,7 @@ omitted when there is only one place over p) or declared labels.  Tokens over
 the conductor resolve to the unique non-invertible prime below them.
 
 Exit codes: 0 success or affirmative, 1 valid negative verdict, 2 usage or
-invalid input, 3 declared-data problem, 4 search budget exhausted.
+invalid input, 3 declared-data problem, 4 step budget exhausted.
 
 Output is deterministic; ``--json`` prints one JSON object per invocation
 carrying the same numbers as the text mode.
@@ -372,7 +372,8 @@ def build_parser():
     p = sub.add_parser("principal", help="principal divisor test")
     _add_field_flags(p)
     p.add_argument("--divisor", default="", help="divisor literal place:coeff,...")
-    p.add_argument("--bound", type=int, help="generator search ceiling")
+    p.add_argument("--bound", type=int,
+                   help="step budget on generator recovery (reduction and cycle steps)")
 
     p = sub.add_parser("order-info", help="splitting fabric, Furtwangler, Pic, Chow")
     _add_field_flags(p)

@@ -26,7 +26,7 @@ class UnsupportedOrderError(ChowkitError):
 
 
 class SearchBoundExceeded(ChowkitError):
-    """A bounded search ran out of budget before reaching a verdict."""
+    """A step budget ran out before reaching a verdict."""
 
 
 class DeclaredDataError(ChowkitError, ValueError):

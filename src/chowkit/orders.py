@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
-from .abgroup import AbelianGroup, GroupElement, bezout_gcd
+from .abgroup import AbelianGroup, GroupElement, bezout_gcd, element_order
 from .errors import (
     BackendError,
     NotConductorIdealError,
@@ -182,6 +181,12 @@ class QuadraticOrder(OrderData):
         super().__init__(primes)
         self.field = field
         self.conductor = conductor
+        self._exponents = {}  # v_p(f) per non-invertible prime, by division
+        for prime in self.primes:
+            v, f = 0, conductor
+            while f % prime.p == 0:
+                v, f = v + 1, f // prime.p
+            self._exponents[prime.p] = v
 
     def class_group(self) -> AbelianGroup:
         """Class group of the normalization."""
@@ -201,14 +206,11 @@ class QuadraticOrder(OrderData):
 
     def conductor_exponent(self, prime):
         """v_p(f): the conductor is the product of the places over p to v_p(f) * e."""
-        v, f = 0, self.conductor
-        while f % prime.p == 0:
-            v, f = v + 1, f // prime.p
-        return v
+        return self._exponents[prime.p]
 
     def residue_unit_order(self):
-        """|(O~/F)^*|."""
-        return residue_unit_cardinality(self.field, self.conductor)
+        """|(O~/F)^*|, from the stored factorization of f."""
+        return residue_unit_cardinality(self.field, self._exponents)
 
 
 class DeclaredOrder(OrderData):
@@ -515,11 +517,15 @@ def prop_fix_report(order: OrderData) -> FixReport:
 def divisor_kernel_witness(order: OrderData, bound: int = 3):
     """Element a with div_O(a) = 0 and a outside O^*, or None.
 
-    Units of the normalization that escape the order are witnesses already;
-    otherwise small combinations of the pushforward-kernel generators are
-    tried, and any combination whose ideal class is trivial yields a witness
-    through its generator.  ``None`` only means the coefficient bound was
-    exhausted.
+    Units of the normalization that escape the order are witnesses already.
+    Otherwise a nonzero kernel generator g of class c gives one: m*g with
+    m the order of c is the divisor of a principal ideal of the
+    normalization, and its generator (``is_principal``, by reduction) has
+    divisor 0 over the order without being a unit.  Of the generators the
+    one whose class has the least order is taken, so the witness stays
+    small.  ``None`` means that no witness exists: every kernel generator is
+    zero and every unit lies in the order.  ``bound`` is accepted for
+    compatibility and no longer read.
     """
     field = order.field
     if order.is_maximal:
@@ -540,30 +546,10 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
         if outside(eps):
             return eps
 
-    gens = [g for g in kernel_generators(order) if not g.is_zero()]
-    if not gens:
+    cl, _, n_gens = order.fabric
+    pairs = [(element_order(cl, c), g)
+             for g, c in zip(kernel_generators(order), n_gens) if not g.is_zero()]
+    if not pairs:
         return None
-    cg = class_group(field)
-    vectors = []
-    for vec in _coefficient_box(len(gens), bound):
-        vectors.append(vec)
-    vectors.sort(key=lambda v: (max(abs(c) for c in v), v))
-    for vec in vectors:
-        div = Divisor(LEVEL_NORMALIZATION, {})
-        for c, g in zip(vec, gens):
-            if c:
-                div = div + c * g
-        if div.is_zero():
-            continue
-        ideal = divisor_to_ideal(order, div)
-        if cg.dlog(ideal).is_identity():
-            alpha = is_principal(field, ideal)
-            if alpha is not None:
-                return alpha
-    return None
-
-
-def _coefficient_box(n, bound):
-    for vec in product(range(-bound, bound + 1), repeat=n):
-        if any(vec):
-            yield vec
+    m, g = min(pairs, key=lambda pair: pair[0])
+    return is_principal(field, divisor_to_ideal(order, m * g))

@@ -22,6 +22,12 @@ least form of the reduction cycle (the narrow class), and each cycle is
 walked once per build.  Real class groups are then taken modulo the class
 of sqrt(d)*Z[w], which removes the narrow/wide distinction.  Generator
 representatives are primitive ideals of reduced forms.
+
+Principal generators come from the same reduction, run on the form of an
+ideal while it carries the relative generator of each step (Buchmann &
+Vollmer, Binary Quadratic Forms; Cohen, GTM 138, Sec. 5.4 and 5.8): the
+ideal is principal exactly when the walk reaches Z[w], in O(log N) steps
+plus, for d > 0, one reduction cycle.
 """
 
 from __future__ import annotations
@@ -483,14 +489,24 @@ def element_divisor(field: QuadField, a: QElement) -> dict:
 # --- binary quadratic form machinery ---------------------------------------
 
 
+def _is_reduced_imag(form):
+    a, b, c = form
+    return -a < b <= a <= c and (a != c or b >= 0)
+
+
+def _rho_imag(form):
+    a, b, c = form
+    s = (c + b) // (2 * c)
+    return (c, -b + 2 * s * c, c * s * s - b * s + a)
+
+
 def _reduce_imag(form):
     a, b, c = form
     r = (a - b) // (2 * a)
-    b, c = b + 2 * r * a, a * r * r + b * r + c
-    while not (-a < b <= a <= c and (a != c or b >= 0)):
-        s = (c + b) // (2 * c)
-        a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-    return (a, b, c)
+    form = (a, b + 2 * r * a, a * r * r + b * r + c)
+    while not _is_reduced_imag(form):
+        form = _rho_imag(form)
+    return form
 
 
 def _is_reduced_real(d, sd, form):
@@ -839,68 +855,60 @@ def unit_group_order(field: QuadField) -> int:
 def is_principal(field: QuadField, I: QIdeal, max_steps=None):
     """Generator of I when principal, else None.
 
-    Imaginary case: enumerates lattice points of norm equal to the ideal
-    norm, which exist exactly when the ideal is principal.  Real case: a
-    generator, if any, can be scaled by unit powers into an explicit box
-    derived from the fundamental unit, so the search is also complete.
-    Raises SearchBoundExceeded only when max_steps cuts the search short.
+    Reduction that carries its relative generator (Buchmann & Vollmer,
+    Binary Quadratic Forms, 2007; Cohen, GTM 138, Sec. 5.4 and 5.8): the
+    form (a, b, c) stands for the lattice J = |a|*Z + ((b + sqrt(d))/2)*Z,
+    and a reduction step replaces J by J/alpha_k, alpha_k = (b + sqrt(d))/(2c),
+    so prim(I) = alpha*J for the product alpha of the steps so far.  |a| = 1
+    means J = Z[w].  For d < 0 the reduced form decides; for d > 0 the
+    reduced lattices of a class form one rho cycle, walked once.  The
+    generator content*alpha is the associate with the least |y|, ties going
+    to positive norm, then x > 0 (or x = 0 and y > 0), then, between the
+    conjugates of a ramified ideal, y > 0.  SearchBoundExceeded is raised
+    only when more than ``max_steps`` reduction and cycle steps are needed.
     """
-    prim = I.primitive()
-    a = prim.a
     d = field.d
-    steps = 0
-
-    def found(x, y):
-        if x < 0 or (x == 0 and y < 0):
-            x, y = -x, -y
-        return QElement(field, x, y, 1).scaled(I.content)
-
-    if d < 0:
-        tmax = isqrt(4 * a // (-d))
-        for t in range(tmax + 1):
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                raise SearchBoundExceeded("principal-ideal search budget exhausted")
-            rhs = 4 * a + t * t * d
-            x = isqrt(rhs)
-            if x * x != rhs:
-                continue
-            for cx in {x, -x}:
-                z = QElement(field, cx, t, 1)
-                if (cx - t * d) % 2 == 0 and prim.contains(z):
-                    return found(cx, t)
-        return None
-
-    eps = fundamental_unit(field)
-    sd = isqrt(d)
-    ub = (eps.x + eps.y * (sd + 1)) // 2 + 2  # integer bound on eps + 1
-    ymax = isqrt(ub * ub * a // d) + 1
-    for t in range(ymax + 1):
+    sd = isqrt(d) if d > 0 else 0
+    form, alpha, start, steps = I.form(), field.one(), None, 0
+    while abs(form[0]) != 1:
+        if _is_reduced_imag(form) if d < 0 else _is_reduced_real(d, sd, form):
+            if d < 0 or form == start:
+                return None
+            start = start or form
         steps += 1
         if max_steps is not None and steps > max_steps:
-            raise SearchBoundExceeded("principal-ideal search budget exhausted")
-        for rhs in (t * t * d + 4 * a, t * t * d - 4 * a):
-            if rhs < 0:
-                continue
-            x = isqrt(rhs)
-            if x * x != rhs:
-                continue
-            for cx in {x, -x}:
-                z = QElement(field, cx, t, 1)
-                if (cx - t * d) % 2 == 0 and not z.is_zero() and prim.contains(z):
-                    if abs(z.norm()) == a:
-                        return found(cx, t)
-    return None
+            raise SearchBoundExceeded("generator recovery step budget exhausted")
+        alpha = alpha * QElement(field, form[1], 1, form[2])
+        form = _rho_imag(form) if d < 0 else _rho_real(d, sd, form)
+    walk = [alpha]
+    if d > 0:
+        # |y(alpha*eps^k)| falls, then rises along each class of k mod 2
+        eps = fundamental_unit(field)
+        eta = eps * eps
+        for step in (eta, eta.conj()):
+            for z in (alpha, alpha * eps):
+                walk.append(z)
+                while abs((nxt := z * step).y) <= abs(z.y):
+                    z = nxt
+                    walk.append(z)
+    best = min((u * z for u in torsion_units(field) for z in walk),
+               key=lambda z: (abs(z.y), z.norm() < 0, -z.x, -z.y))
+    return best.scaled(I.content)
 
 
-def residue_unit_cardinality(field: QuadField, f: int) -> int:
-    """Order of (Z[w] / f*Z[w])^*, multiplicative over prime powers."""
-    f = int(f)
-    if f < 1:
-        raise ValueError("positive conductor required")
+def residue_unit_cardinality(field: QuadField, f) -> int:
+    """Order of (Z[w] / f*Z[w])^*, multiplicative over prime powers.
+
+    f is the conductor, or its factorization as a dict {p: v_p(f)}.
+    """
+    if not isinstance(f, dict):
+        f = int(f)
+        if f < 1:
+            raise ValueError("positive conductor required")
+        f = factorize(f)
     out = 1
-    for p, k in factorize(f).items():
-        kind = splitting(field, p)[0].kind
+    for p, k in f.items():
+        kind = _splitting(field, p)[0].kind
         if kind == "split":
             out *= (p ** (k - 1) * (p - 1)) ** 2
         elif kind == "inert":

@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from math import isqrt
 
 import pytest
 
@@ -24,6 +26,7 @@ from chowkit.orders import (
     order_from_conductor,
     pushforward,
 )
+from chowkit.ntheory import primes_below
 from chowkit.quadfield import QElement, class_group, make_field, splitting
 from util import transcribe_to_declared
 
@@ -176,6 +179,45 @@ def test_principal_round_trip():
             assert res.status == "principal", (d, a)
             assert div_over_order(O, res.generator) == D
             done += 1
+
+
+def _smooth_elements(F):
+    """Small primes and (x + v*sqrt(d))/2 of small 1000-smooth norm."""
+    primes = primes_below(1000)
+    out = [QElement.from_int(F, p) for p in (2, 3, 5, 7)]
+    for v in (1, 2, 3):
+        centre = isqrt(v * v * F.d) if F.d > 0 else 0
+        for x in range(centre - 600, centre + 601):
+            n = abs(x * x - v * v * F.d) // 4
+            if (x - v * F.d) % 2 or n == 0:
+                continue
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            if n == 1:
+                out.append(QElement(F, x, v, 1))
+    return out
+
+
+@pytest.mark.parametrize("d, f", [(-23, 10), (1001, 6), (-837191, 3), (999997, 5)])
+def test_principal_round_trip_large_norms(d, f):
+    # principal divisors of elements with norms of 2^200 and more: the
+    # generator comes back within a second, h = 1325 for -837191 included
+    F = make_field(d)
+    O = order_from_conductor(F, f)
+    chow_group(O)                       # class group and fabric built up front
+    pool = _smooth_elements(F)
+    rng = random.Random(d)
+    for _ in range(3):
+        a = QElement.from_int(F, 1)
+        while abs(a.norm()).numerator.bit_length() <= 200:
+            a = a * rng.choice(pool)
+        D = div_over_order(O, a)
+        start = time.perf_counter()
+        res = principal_divisor_test(O, D)
+        assert time.perf_counter() - start < 1.0, (d, f, a)
+        assert res.status == "principal", (d, f, a)
+        assert div_over_order(O, res.generator) == D
 
 
 def test_pic_cardinality_examples():

@@ -180,11 +180,21 @@ def test_shared_parser_keeps_outputs(capsys):
 
 
 def test_bound_exhaustion_exit_code(capsys):
-    # a zero search ceiling aborts the generator search with exit 4
+    # a zero step budget aborts generator recovery with exit 4
     assert main(["principal", "--disc", "-23", "--conductor", "3",
                  "--divisor", "2.0:1", "--bound", "0"]) == 4
     err = capsys.readouterr().err
     assert "budget" in err
+
+
+def test_principal_large_power_is_fast(capsys):
+    # 11.0^256 has a 886-bit norm; generator recovery is by reduction, not
+    # by a search whose length grows with the norm
+    start = time.perf_counter()
+    assert main(["principal", "--disc", "-7", "--conductor", "2",
+                 "--divisor", "11.0:256"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith("principal: ")
 
 
 def test_declared_place_token_resolves_to_its_record(capsys):

@@ -296,6 +296,49 @@ def test_divisor_kernel_witness():
     assert wr is not None and div_over_order(Or, wr).is_zero()
 
 
+@pytest.mark.parametrize("d, f", [(-47, 6), (-47, 119), (-3299, 30), (-3299, 35)])
+def test_divisor_kernel_witness_exists(d, f):
+    # split conductor primes give a nonzero kernel generator, so a witness
+    # exists; a coefficient box of 1 used to miss all four
+    O = order_from_conductor(make_field(d), f)
+    w = divisor_kernel_witness(O, bound=1)
+    assert w is not None
+    assert div_over_order(O, w).is_zero()
+    _, v, den = w.omega_coords()
+    assert den != 1 or v % f != 0
+
+
+def test_divisor_kernel_witness_none_means_none_exists():
+    # 3 is inert in Q(sqrt(-7)): the kernel generators are zero and the
+    # units are +-1, so no element has divisor 0 without being a unit of O
+    O = order_from_conductor(make_field(-7), 3)
+    assert all(g.is_zero() for g in kernel_generators(O))
+    assert divisor_kernel_witness(O) is None
+
+
+def test_conductor_factored_once(monkeypatch, capsys):
+    import sys
+
+    import chowkit.ntheory
+    from chowkit.cli import main
+
+    seen = []
+    original = chowkit.ntheory.factorize
+
+    def counting(n):
+        seen.append(n)
+        return original(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("chowkit"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    assert main(["order-info", "--disc", "40", "--conductor", "12"]) == 0
+    capsys.readouterr()
+    assert seen.count(12) == 1, seen
+
+
 def test_witness_yields_nontrivial_invertible_ideal():
     F = make_field(-7)
     O = order_from_conductor(F, 2)

@@ -1,0 +1,66 @@
+"""The benchmark's hooks into chowkit: traced names and the worker's calls.
+
+``perfbench/tracing.py`` wraps chowkit functions by identity and two methods
+on their classes, and ``perfbench/worker.py`` calls the library with fixed
+keywords.  These tests read both contracts from the library side, so a
+change that breaks ``--trace 1`` or the worker fails here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import chowkit
+from chowkit import Divisor, div_over_order, make_field, order_from_conductor
+from chowkit.quadfield import QElement
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve(tracing):
+    for modname, func in tracing.TRACED:
+        mod = importlib.import_module(f"chowkit.{modname}")
+        fn = getattr(mod, func)
+        assert inspect.isfunction(fn), (modname, func)
+        assert fn.__module__ == mod.__name__, (modname, func)
+    for modname, cls_name, attr, _ in tracing.TRACED_METHODS:
+        cls = getattr(importlib.import_module(f"chowkit.{modname}"), cls_name)
+        assert inspect.isfunction(cls.__dict__[attr]), (cls_name, attr)
+
+
+def test_worker_calls_under_the_tracer(tracing):
+    # the principal-warm worker's calls, with its keywords, traced and undone;
+    # like the worker, they go through the chowkit namespace at call time
+    tracer = tracing.Tracer()
+    undo = tracer.install()
+    try:
+        order = order_from_conductor(make_field(-23), 10)
+        tracer.begin_op(0)
+        witness = chowkit.divisor_kernel_witness(order, bound=1)
+        alpha = QElement.from_omega(order.field, 3, 1) * QElement.from_omega(order.field, -1, 2)
+        D = div_over_order(order, alpha)
+        res = chowkit.principal_divisor_test(order, Divisor("order", D.support),
+                                             max_steps=20000)
+        tracer.end_op(True)
+    finally:
+        for owner, attr, original in undo:
+            setattr(owner, attr, original)
+    assert witness is not None and div_over_order(order, witness).is_zero()
+    assert res.status == "principal" and div_over_order(order, res.generator) == D
+    metrics = tracer.metrics()
+    assert metrics["orders.divisor_kernel_witness.calls"] == 1
+    assert metrics["chow.principal_divisor_test.calls"] == 1
+    assert metrics["quadfield.is_principal.calls"] >= 2
+    assert metrics["orders.divisor_kernel_witness.none"] == 0
+    assert metrics["quadfield.is_principal.bound_exceeded"] == 0

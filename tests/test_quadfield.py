@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from chowkit.errors import FieldInputError
+from chowkit.errors import FieldInputError, SearchBoundExceeded
 from chowkit.quadfield import (
     QElement,
     QIdeal,
@@ -22,7 +22,12 @@ from chowkit.quadfield import (
     splitting,
     torsion_units,
 )
-from util import fundamental_discriminants, quotient_ring_kind_mod2, reduced_cycle_count
+from util import (
+    fundamental_discriminants,
+    principal_generator_by_search,
+    quotient_ring_kind_mod2,
+    reduced_cycle_count,
+)
 
 
 def test_make_field_validation():
@@ -250,6 +255,42 @@ def test_is_principal_worked_example():
     assert beta is not None
     assert principal_ideal(beta) == inv
     assert abs(beta.norm()) == Fraction(1, 2)
+
+
+def test_is_principal_matches_search_reference():
+    # verdicts and |y| against the box search, on small-norm ideals; for
+    # d < -4 the generator is unique up to sign, so it must be the same
+    rng = random.Random(41)
+    for d in (-3, -4, -7, -23, -84, -3299, 5, 13, 40, 60, 229, 1001):
+        F = make_field(d)
+        pool = [pl.ideal() for p in (2, 3, 5, 7, 11)
+                for pl in splitting(F, p)]
+        for _ in range(30):
+            I = QIdeal.unit_ideal(F)
+            for _ in range(rng.randint(0, 3)):
+                I = I * rng.choice(pool) ** rng.choice((1, 1, 2, -1))
+            g = is_principal(F, I)
+            ref = principal_generator_by_search(F, I)
+            assert (g is None) == (ref is None), (d, I)
+            if g is None:
+                continue
+            assert principal_ideal(g) == I
+            assert abs(g.y) == abs(ref.y), (d, I, g, ref)
+            if g != ref:
+                # the documented tie: conjugate generators of a ramified
+                # ideal, resolved to y > 0
+                assert d in (-3, -4) or d > 0, (d, I, g, ref)
+                assert I.conj() == I and g == ref.conj() and g.y > 0, (d, I, g, ref)
+
+
+def test_is_principal_step_budget():
+    F = make_field(-23)
+    P = splitting(F, 2)[0].ideal()
+    with pytest.raises(SearchBoundExceeded):
+        is_principal(F, P ** 3, max_steps=0)
+    assert principal_ideal(is_principal(F, P ** 3, max_steps=10)) == P ** 3
+    # the unit ideal needs no step at all
+    assert is_principal(F, QIdeal.unit_ideal(F), max_steps=0) == F.one()
 
 
 def test_fundamental_unit():

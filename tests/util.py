@@ -5,7 +5,7 @@ from math import gcd, isqrt
 from chowkit import FieldInputError, make_field
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.orders import QuadraticOrder
-from chowkit.quadfield import class_group, fundamental_unit
+from chowkit.quadfield import QElement, class_group, fundamental_unit
 
 
 def fundamental_discriminants(bound, sign=None):
@@ -95,6 +95,57 @@ def unit_index_by_powers(field, f):
         u = u * eps
         k += 1
     return k
+
+
+def principal_generator_by_search(field, I):
+    """Generator of I when principal, else None, by a complete box search.
+
+    The reference for ``quadfield.is_principal``.  Lattice points
+    (x + t*sqrt(d))/2 of the primitive part with |norm| = N(prim) are tried
+    for t = 0, 1, ...: positive norm before negative, and x before -x in
+    the iteration order of the set {x, -x}.  Imaginary case: t <= sqrt(4a/|d|).
+    Real case: a generator can be scaled by unit powers into a box derived
+    from the fundamental unit, so the search is also complete.  The hit is
+    signed so that x > 0, or x = 0 and t > 0, and scaled by the content.
+    """
+    prim = I.primitive()
+    a = prim.a
+    d = field.d
+
+    def found(x, y):
+        if x < 0 or (x == 0 and y < 0):
+            x, y = -x, -y
+        return QElement(field, x, y, 1).scaled(I.content)
+
+    if d < 0:
+        tmax = isqrt(4 * a // (-d))
+        for t in range(tmax + 1):
+            rhs = 4 * a + t * t * d
+            x = isqrt(rhs)
+            if x * x != rhs:
+                continue
+            for cx in {x, -x}:
+                z = QElement(field, cx, t, 1)
+                if (cx - t * d) % 2 == 0 and prim.contains(z):
+                    return found(cx, t)
+        return None
+
+    eps = fundamental_unit(field)
+    sd = isqrt(d)
+    ub = (eps.x + eps.y * (sd + 1)) // 2 + 2  # integer bound on eps + 1
+    ymax = isqrt(ub * ub * a // d) + 1
+    for t in range(ymax + 1):
+        for rhs in (t * t * d + 4 * a, t * t * d - 4 * a):
+            if rhs < 0:
+                continue
+            x = isqrt(rhs)
+            if x * x != rhs:
+                continue
+            for cx in {x, -x}:
+                z = QElement(field, cx, t, 1)
+                if (cx - t * d) % 2 == 0 and not z.is_zero() and prim.contains(z):
+                    return found(cx, t)
+    return None
 
 
 def quotient_ring_kind_mod2(d):
