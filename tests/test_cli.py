@@ -188,7 +188,7 @@ def test_bound_exhaustion_exit_code(capsys):
 
 
 def test_principal_large_power_is_fast(capsys):
-    # 11.0^256 has a 886-bit norm; generator recovery is by reduction, not
+    # 11.0^256 has an 886-bit norm; generator recovery is by reduction, not
     # by a search whose length grows with the norm
     start = time.perf_counter()
     assert main(["principal", "--disc", "-7", "--conductor", "2",

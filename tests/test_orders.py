@@ -1,10 +1,13 @@
 """Orders: conductors, push-forward, kernel generators, Furtwaengler, fix report."""
 
 import random
+import sys
 
 import pytest
 
+import chowkit.ntheory
 from chowkit.chow import principal_divisor_test
+from chowkit.cli import main
 from chowkit.declared import declared_order, load_declared
 from chowkit.errors import NotConductorIdealError, PlaceResolutionError
 from chowkit.ntheory import primes_below
@@ -317,11 +320,8 @@ def test_divisor_kernel_witness_none_means_none_exists():
 
 
 def test_conductor_factored_once(monkeypatch, capsys):
-    import sys
-
-    import chowkit.ntheory
-    from chowkit.cli import main
-
+    # the order keeps v_p(f): Pic, phi(f) and |(O~/F)^*| read it instead of
+    # factoring f again
     seen = []
     original = chowkit.ntheory.factorize
 
