@@ -49,7 +49,7 @@ from .orders import (
     order_from_conductor,
     prop_fix_report,
 )
-from .quadfield import make_field
+from .quadfield import check_class_disc, make_field
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -120,6 +120,7 @@ def _build_order(args):
     if has_disc:
         if getattr(args, "order", None) is not None:
             raise _UsageError("--order requires --data")
+        check_class_disc(args.disc)
         field = make_field(args.disc)
         f = args.conductor if args.conductor is not None else 1
         if f < 1:
@@ -308,6 +309,7 @@ def cmd_find_trivial(args):
     budget = args.prime_budget
     if budget < 0:
         raise _UsageError("--prime-budget must be >= 0")
+    check_class_disc(args.disc)
     field = make_field(args.disc)
     f = find_trivial_chow_conductor(field, budget)
     if f is None:

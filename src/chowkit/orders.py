@@ -50,7 +50,6 @@ from .quadfield import (
     element_divisor,
     fundamental_unit,
     is_principal,
-    prime_to_ideal,
     residue_unit_cardinality,
     splitting,
     torsion_units,
@@ -373,7 +372,7 @@ def divisor_to_ideal(order: OrderData, D: Divisor) -> QIdeal:
     acc = QIdeal.unit_ideal(field)
     for label in sorted(D.support):
         place = resolve_place(field, label)
-        acc = acc * prime_to_ideal(field, place) ** D.support[label]
+        acc = acc * place.ideal() ** D.support[label]
     return acc
 
 

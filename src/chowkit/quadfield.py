@@ -23,6 +23,12 @@ walked once per build.  Real class groups are then taken modulo the class
 of sqrt(d)*Z[w], which removes the narrow/wide distinction.  Generator
 representatives are primitive ideals of reduced forms.
 
+The same composition, unreduced, is the ideal product: the primitive parts
+of two ideals multiply to gcd(a1, a2, (b1 + b2)/2) times the ideal of the
+composed form.  A principal ideal alpha*Z[w] is read off alpha's norm and
+coordinates, so one algorithm serves class groups, products and principal
+ideals.
+
 Principal generators come from the same reduction, run on the form of an
 ideal while it carries the relative generator of each step (Buchmann &
 Vollmer, Binary Quadratic Forms; Cohen, GTM 138, Sec. 5.4 and 5.8): the
@@ -150,9 +156,6 @@ class QElement:
     def is_zero(self):
         return self.x == 0 and self.y == 0
 
-    def is_integral(self):
-        return self.den == 1
-
     def is_rational(self):
         return self.y == 0
 
@@ -162,9 +165,6 @@ class QElement:
     def norm(self) -> Fraction:
         return Fraction(self.x * self.x - self.y * self.y * self.field.d,
                         4 * self.den * self.den)
-
-    def trace(self) -> Fraction:
-        return Fraction(self.x, self.den)
 
     def __add__(self, other):
         self._check(other)
@@ -263,7 +263,10 @@ class PrimePlace:
         return f"{self.p}" if self.unique else f"{self.p}.{self.branch}"
 
     def ideal(self):
-        return prime_to_ideal(self.field, self)
+        """The place as a QIdeal: p*Z[w] when inert, else p*Z + (b + w)*Z."""
+        if self.kind == "inert":
+            return QIdeal(self.field, 1, 0, Fraction(self.p))
+        return QIdeal(self.field, self.p, self.b)
 
     def __str__(self):
         return self.label
@@ -329,36 +332,8 @@ class QIdeal:
     def unit_ideal(cls, field):
         return cls(field, 1, 0)
 
-    @classmethod
-    def from_lattice(cls, field, rows, denom=1):
-        """Ideal from generating (u, v) coordinate rows over (1, w), scaled by 1/denom."""
-        g = 0
-        m = 0
-        for u, v in rows:
-            if v == 0:
-                continue
-            if g == 0:
-                g, m = abs(v), u if v > 0 else -u
-                continue
-            g2, s, t = egcd(g, v)
-            m = s * m + t * u
-            g = g2
-        if g == 0:
-            raise ValueError("lattice has rank < 2")
-        n = 0
-        for u, v in rows:
-            n = gcd(n, u - (v // g) * m)
-        if n == 0:
-            raise ValueError("lattice has rank < 2")
-        if m % g or n % g:
-            raise ValueError("lattice is not an ideal")
-        return cls(field, n // g, (m // g) % (n // g), Fraction(g, denom))
-
     def norm(self) -> Fraction:
         return self.a * self.content * self.content
-
-    def is_integral(self):
-        return self.content.denominator == 1
 
     def primitive(self):
         return QIdeal(self.field, self.a, self.b)
@@ -371,20 +346,26 @@ class QIdeal:
         return QIdeal(self.field, prim.a, prim.b, 1 / (self.content * self.a))
 
     def __mul__(self, other):
+        """Product by Dirichlet composition of the forms of the primitive parts.
+
+        With g = gcd(a1, a2, (b1 + b2)/2), the primitive parts multiply to g
+        times the ideal of the composed form, whose leading coefficient is
+        a1*a2/g^2.  In Q(sqrt(-5)) the place over 2 squares to 2*Z[w]:
+
+        >>> F = make_field(-20)
+        >>> P = splitting(F, 2)[0].ideal()
+        >>> P * P
+        QIdeal(1, 0, content=2; d=-20)
+        >>> P * P == principal_ideal(QElement.from_int(F, 2))
+        True
+        """
         if not isinstance(other, QIdeal) or other.field.d != self.field.d:
             raise TypeError("ideals of different fields")
         d = self.field.d
-        nw = self.field.omega_norm
-        a1, b1 = self.a, self.b
-        a2, b2 = other.a, other.b
-        rows = (
-            (a1 * a2, 0),
-            (a1 * b2, a1),
-            (a2 * b1, a2),
-            (b1 * b2 - nw, b1 + b2 + d),
-        )
-        out = QIdeal.from_lattice(self.field, rows)
-        return QIdeal(self.field, out.a, out.b, out.content * self.content * other.content)
+        f1, f2 = self.form(), other.form()
+        g = gcd(gcd(f1[0], f2[0]), (f1[1] + f2[1]) // 2)
+        a, b, _ = _compose(f1, f2, d)
+        return QIdeal(self.field, a, (b - d) // 2, self.content * other.content * g)
 
     def __pow__(self, n):
         n = int(n)
@@ -430,26 +411,26 @@ class QIdeal:
 
 
 def principal_ideal(alpha: QElement) -> QIdeal:
-    """The fractional ideal alpha * Z[w]."""
+    """The fractional ideal alpha * Z[w].
+
+    For alpha = g*(u + v*w)/den with gcd(u, v) = 1, (u + v*w)*Z[w] is the
+    primitive ideal of norm a = |N(u + v*w)| with b = u/v mod a (v is a
+    unit mod a, since a prime dividing v and a divides u).
+
+    >>> F = make_field(-20)
+    >>> principal_ideal(QElement.from_int(F, 2))
+    QIdeal(1, 0, content=2; d=-20)
+    >>> principal_ideal(F.sqrt_disc() / 2) == splitting(F, 5)[0].ideal()
+    True
+    """
     if alpha.is_zero():
         raise ValueError("zero element has no ideal")
     field = alpha.field
-    beta = alpha * field.omega()
-    u1, v1, den1 = alpha.omega_coords()
-    u2, v2, den2 = beta.omega_coords()
-    lcm = den1 * den2 // gcd(den1, den2)
-    rows = (
-        (u1 * (lcm // den1), v1 * (lcm // den1)),
-        (u2 * (lcm // den2), v2 * (lcm // den2)),
-    )
-    return QIdeal.from_lattice(field, rows, denom=lcm)
-
-
-def prime_to_ideal(field: QuadField, place: PrimePlace) -> QIdeal:
-    """Two-generator ideal of a place."""
-    if place.kind == "inert":
-        return QIdeal(field, 1, 0, Fraction(place.p))
-    return QIdeal(field, place.p, place.b)
+    u, v, den = alpha.omega_coords()
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    a = abs(u * u + field.d * u * v + field.omega_norm * v * v)
+    return QIdeal(field, a, u * pow(v, -1, a), Fraction(g, den))
 
 
 def ord_at(field: QuadField, place: PrimePlace, a: QElement) -> int:
@@ -457,7 +438,7 @@ def ord_at(field: QuadField, place: PrimePlace, a: QElement) -> int:
     if a.is_zero():
         raise ValueError("ord of zero is undefined")
     num = QElement(field, a.x, a.y, 1)
-    P = prime_to_ideal(field, place)
+    P = place.ideal()
     k = 0
     power = P
     while power.contains(num):
@@ -732,11 +713,19 @@ def _span_classes(d, sd, candidates, memo):
     return table, gens, rows
 
 
+def check_class_disc(d: int, max_disc: int = MAX_CLASS_DISC):
+    """Refuse |d| > max_disc, the largest class group built.
+
+    Cheap, so callers check it before ``make_field`` factors d.
+    """
+    if abs(d) > max_disc:
+        raise FieldInputError(f"|discriminant| {abs(d)} exceeds the bound {max_disc}")
+
+
 def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupData:
     """Class group of the maximal order, memoized per field."""
     d = field.d
-    if abs(d) > max_disc:
-        raise FieldInputError(f"|discriminant| {abs(d)} exceeds the bound {max_disc}")
+    check_class_disc(d, max_disc)
     with _CACHE_LOCK:
         cached = _CLASS_CACHE.get(d)
     if cached is not None:

@@ -31,6 +31,15 @@ WORKED_INVOCATIONS = [
       "--divisor", "main:4"], "principal_biquad_main4.txt", 0),
     (["principal", "--data", "data/biquad.decl", "--order", "main",
       "--divisor", "main:2"], "principal_biquad_main2.txt", 1),
+    # step 6 of the principal test lifts the divisor to an ideal of the
+    # normalization: a real field with the eps walk, a kernel correction,
+    # and an inert conductor prime
+    (["principal", "--disc", "1001", "--conductor", "6", "--divisor", "2:2"],
+     "principal_disc1001_f6.txt", 0),
+    (["principal", "--disc", "-23", "--conductor", "10", "--divisor", "2:2,3.0:3"],
+     "principal_disc-23_f10.txt", 0),
+    (["principal", "--disc", "-7", "--conductor", "3", "--divisor", "3:4,2.1:3",
+      "--json"], "principal_disc-7_f3.json", 0),
 ]
 
 
@@ -230,20 +239,25 @@ def test_quintic_selections(capsys):
 
 # -1073741789 * 1073741827: a 60-bit fundamental discriminant, two 30-bit primes
 BIG_DISC = -1152921470247108503
+# 1125899906843651 * 2251799813690267: two primes near 2^50 and 2^51, out of
+# reach of the factoring in make_field
+HUGE_DISC = 2535301200464422293034509444817
 
 
-@pytest.mark.parametrize("command", ["chow", "order-info"])
+@pytest.mark.parametrize("command", ["chow", "order-info", "principal", "find-trivial"])
 def test_large_discriminant_fails_fast(capsys, command):
-    # the discriminant is validated (its core factored) and refused by the
-    # class-group bound before any class-group work
-    start = time.perf_counter()
-    code = main([command, "--disc", str(BIG_DISC)])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (f"error: |discriminant| {-BIG_DISC} exceeds the bound "
-                            f"{MAX_CLASS_DISC}\n")
-    assert elapsed < 1.0, elapsed
+    # the class-group bound is checked before the discriminant is validated,
+    # so its core is never factored
+    extra = ["--divisor", "2:1"] if command == "principal" else []
+    for disc in (BIG_DISC, HUGE_DISC):
+        start = time.perf_counter()
+        code = main([command, "--disc", str(disc)] + extra)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: |discriminant| {abs(disc)} exceeds the bound "
+                                f"{MAX_CLASS_DISC}\n")
+        assert elapsed < 1.0, (disc, elapsed)
 
 
 def test_conductor_test_near_1e18(capsys):

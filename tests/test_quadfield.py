@@ -24,7 +24,9 @@ from chowkit.quadfield import (
 )
 from util import (
     fundamental_discriminants,
+    ideal_product_by_lattice,
     principal_generator_by_search,
+    principal_ideal_by_lattice,
     quotient_ring_kind_mod2,
     reduced_cycle_count,
 )
@@ -100,6 +102,70 @@ def test_ideal_normal_form_and_mul():
         I = rng.choice(ideals) * rng.choice(ideals)
         J = rng.choice(ideals)
         assert (I * J).norm() == I.norm() * J.norm()
+
+
+# both signs; units of order 6 and 4, large class groups, and every
+# splitting type of 2 (d = 1 mod 8, 5 mod 8, even)
+ORACLE_DISCS = (-3, -4, -7, -8, -20, -23, -84, -455, -3299, -837191,
+                5, 8, 12, 13, 40, 229, 1001, 999997)
+CONTENTS = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2), Fraction(7, 6))
+
+
+def _lattice_power(P, e):
+    """P**e by repeated lattice products, the reference for ``**``."""
+    base = P if e >= 0 else P.inverse()
+    out = QIdeal.unit_ideal(P.field)
+    for _ in range(abs(e)):
+        out = ideal_product_by_lattice(out, base)
+    return out
+
+
+def test_ideal_products_match_lattice_reference():
+    # random ideals from place powers (inert, ramified and split places,
+    # negative exponents) and contents other than 1, multiplied both ways
+    rng = random.Random(2024)
+    count = 0
+    for d in ORACLE_DISCS:
+        F = make_field(d)
+        places = [pl.ideal() for p in (2, 3, 5, 7, 11, 13) for pl in splitting(F, p)]
+        for _ in range(300):
+            P = rng.choice(places)
+            e = rng.randint(-4, 5)
+            assert P ** e == _lattice_power(P, e), (d, P, e)
+            I, J = (QIdeal(F, 1, 0, rng.choice(CONTENTS)) for _ in range(2))
+            for _ in range(rng.randint(1, 3)):
+                I = ideal_product_by_lattice(I, _lattice_power(rng.choice(places),
+                                                               rng.randint(-2, 3)))
+                J = ideal_product_by_lattice(J, rng.choice(places))
+            assert I * J == ideal_product_by_lattice(I, J), (d, I, J)
+            assert J * I == I * J
+            count += 2
+    assert count >= 5000
+
+
+def test_principal_ideals_match_lattice_reference():
+    # random elements with denominators > 1, plus sqrt(d), units and
+    # rational numbers, in fields with d = 0 and 1 mod 4
+    rng = random.Random(77)
+    count = 0
+    for d in ORACLE_DISCS:
+        F = make_field(d)
+        special = [F.sqrt_disc(), F.omega(), QElement.from_int(F, -6),
+                   QElement(F, 6, 0, 5)] + torsion_units(F)
+        if d > 0:
+            eps = fundamental_unit(F)
+            special += [eps, eps.conj(), eps * eps, eps * F.sqrt_disc()]
+        for alpha in special:
+            assert principal_ideal(alpha) == principal_ideal_by_lattice(alpha), (d, alpha)
+            count += 1
+        for _ in range(1200):
+            m = rng.choice((5, 40, 1000, 10**6))
+            alpha = QElement(F, rng.randint(-m, m), rng.randint(-m, m), rng.randint(1, 12))
+            if alpha.is_zero():
+                continue
+            assert principal_ideal(alpha) == principal_ideal_by_lattice(alpha), (d, alpha)
+            count += 1
+    assert count >= 20000
 
 
 def test_ord_worked_example():

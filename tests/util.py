@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: disc enumeration, oracles, transcription."""
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 from chowkit import FieldInputError, make_field
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.orders import QuadraticOrder
-from chowkit.quadfield import QElement, class_group, fundamental_unit
+from chowkit.ntheory import egcd
+from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit
 
 
 def fundamental_discriminants(bound, sign=None):
@@ -146,6 +148,55 @@ def principal_generator_by_search(field, I):
                 if (cx - t * d) % 2 == 0 and not z.is_zero() and prim.contains(z):
                     return found(cx, t)
     return None
+
+
+def ideal_from_lattice(field, rows, denom=1):
+    """Ideal spanned by (u, v) coordinate rows over (1, w), scaled by 1/denom.
+
+    Hermite normal form of the row lattice: g*Z + ... in the w-coordinate,
+    then the gcd n of the w-free combinations.  The reference for ideal
+    products and principal ideals, which ``quadfield`` computes on forms.
+    """
+    g = 0
+    m = 0
+    for u, v in rows:
+        if v == 0:
+            continue
+        if g == 0:
+            g, m = abs(v), u if v > 0 else -u
+            continue
+        g2, s, t = egcd(g, v)
+        m = s * m + t * u
+        g = g2
+    assert g, "lattice has rank < 2"
+    n = 0
+    for u, v in rows:
+        n = gcd(n, u - (v // g) * m)
+    assert n, "lattice has rank < 2"
+    assert m % g == 0 and n % g == 0, "lattice is not an ideal"
+    return QIdeal(field, n // g, (m // g) % (n // g), Fraction(g, denom))
+
+
+def ideal_product_by_lattice(I, J):
+    """I * J from the four products of the Z-bases of the primitive parts."""
+    field = I.field
+    d, nw = field.d, field.omega_norm
+    a1, b1, a2, b2 = I.a, I.b, J.a, J.b
+    rows = ((a1 * a2, 0), (a1 * b2, a1), (a2 * b1, a2),
+            (b1 * b2 - nw, b1 + b2 + d))
+    out = ideal_from_lattice(field, rows)
+    return QIdeal(field, out.a, out.b, out.content * I.content * J.content)
+
+
+def principal_ideal_by_lattice(alpha):
+    """alpha * Z[w] from the lattice spanned by alpha and alpha * w."""
+    field = alpha.field
+    u1, v1, den1 = alpha.omega_coords()
+    u2, v2, den2 = (alpha * field.omega()).omega_coords()
+    lcm = den1 * den2 // gcd(den1, den2)
+    rows = ((u1 * (lcm // den1), v1 * (lcm // den1)),
+            (u2 * (lcm // den2), v2 * (lcm // den2)))
+    return ideal_from_lattice(field, rows, denom=lcm)
 
 
 def quotient_ring_kind_mod2(d):
