@@ -17,6 +17,8 @@ reads:
     rows of V^-1 (``generator_lifts``), never U;
   * ``solve_combination``: U times the target and V times one vector;
   * ``smith_normal_form``: U and V in full, never V^-1.
+``direct_sum_invariants`` needs no SNF: a diagonal is put in Smith form by
+gcd/lcm merging.
 
 Conventions:
   * invariant factors are listed as d_1 | d_2 | ... with every d_i >= 2,
@@ -550,13 +552,20 @@ def solve_combination(G, elements, target):
 
 
 def direct_sum_invariants(*factor_lists):
-    """Invariant factors of a direct sum given by per-summand factor lists."""
-    moduli = [d for factors in factor_lists for d in factors]
-    n = len(moduli)
-    rows = []
-    for j, d in enumerate(moduli):
-        if d:
-            row = [0] * n
-            row[j] = d
-            rows.append(row)
-    return quotient(n, rows).invariant_factors
+    """Invariant factors of a direct sum given by per-summand factor lists.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so merging every pair of finite
+    moduli this way, in order, leaves a divisibility chain; the 1s are
+    dropped and one 0 per free summand goes last.
+
+    >>> direct_sum_invariants([2, 4], [6, 0], [1])
+    (2, 2, 12, 0)
+    """
+    finite = [abs(d) for factors in factor_lists for d in factors if d]
+    free = sum(1 for factors in factor_lists for d in factors if not d)
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            a, b = finite[i], finite[j]
+            g = gcd(a, b)
+            finite[i], finite[j] = g, a // g * b
+    return tuple(d for d in finite if d != 1) + (0,) * free

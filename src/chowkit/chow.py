@@ -9,7 +9,10 @@ take
     N = < classes of (d_{i,j}/g_i)*Q_i - P_{i,j} >,
     R = < (g_i * p_i, -[Q_i]) >,
 
-and Chow(O) = G/R.  The same data yields the exact-sequence decomposition
+and Chow(O) = G/R.  A prime with g_i = 1 has the relation p_i = [Q_i], so
+its generator and its relation are eliminated before the Smith normal form,
+which then sees only the primes with g_i > 1 and the generators of Cl/N.
+The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
 check against the kernel subgroup, and finally a principal-ideal generator.
@@ -54,7 +57,14 @@ from .quadfield import (
 
 @dataclass
 class ChowPresentation:
-    """Chow group as a quotient G/R, with a divisor projection."""
+    """Chow group as a quotient G/R, with a divisor projection.
+
+    ``result`` is presented on all r + k generators (``user_rank``), but
+    when a prime with g_i = 1 is eliminated its transforms differ from
+    those of the Smith normal form of the unreduced G/R matrix: the group,
+    ``project`` up to that isomorphism, and every CLI output are the same.
+    ``relations`` keeps all r rows.
+    """
 
     order: OrderData
     generator_labels: tuple          # labels of the free part and of Cl/N
@@ -92,26 +102,39 @@ class ChowPresentation:
 
 
 def chow_group(order: OrderData) -> ChowPresentation:
-    """Chow group of the order via the G/R presentation."""
+    """Chow group of the order via the G/R presentation.
+
+    A prime with g_i = 1 has the relation p_i = [Q_i], so its generator and
+    its relation are eliminated before the Smith normal form, which then
+    sees #{g_i > 1} + rank(Cl/N) columns.  The result's transforms are
+    rebuilt for all r + k generators: row p_i of ``basis_change`` of an
+    eliminated prime is the image of [Q_i], and its coordinate in every
+    generator lift is 0.
+    """
     cl, q_classes, n_gens = order.fabric
     cl_mod_n = subgroup_quotient(cl, n_gens)
     r = len(order.primes)
     k = cl_mod_n.rank
+    qbars = [cl_mod_n.member(q.coords).coords for q in q_classes]
+    r_rows = []
+    for i, (prime, qbar) in enumerate(zip(order.primes, qbars)):
+        row = [0] * r + [-c for c in qbar]
+        row[i] = prime.g
+        r_rows.append(row)
+    # the reduced presentation: the moduli of Cl/N, then the relations of
+    # the primes with g_i > 1 restricted to their own columns and Cl/N's
+    kept = [i for i, prime in enumerate(order.primes) if prime.g > 1]
+    s = len(kept)
     rows = []
     for j, dmod in enumerate(cl_mod_n.invariant_factors):
-        row = [0] * (r + k)
-        row[r + j] = dmod
+        row = [0] * (s + k)
+        row[s + j] = dmod
         rows.append(row)
-    r_rows = []
-    for i, prime in enumerate(order.primes):
-        qbar = cl_mod_n.member(q_classes[i].coords)
-        row = [0] * (r + k)
-        row[i] = prime.g
-        for j, c in enumerate(qbar.coords):
-            row[r + j] = -c
+    for t, i in enumerate(kept):
+        row = [0] * s + r_rows[i][r:]
+        row[t] = order.primes[i].g
         rows.append(row)
-        r_rows.append(row)
-    result = quotient(r + k, rows)
+    result = _expand_presentation(quotient(s + k, rows), r, kept, qbars)
     labels = tuple(p.label for p in order.primes) + tuple(
         f"cl{j}" for j in range(k))
     return ChowPresentation(
@@ -122,6 +145,26 @@ def chow_group(order: OrderData) -> ChowPresentation:
         relations=IntMatrix(r_rows, cols=r + k),
         cl_mod_n=cl_mod_n,
         result=result,
+    )
+
+
+def _expand_presentation(reduced, r, kept, qbars):
+    """The quotient ``reduced``, presented on the primes ``kept`` and the k
+    generators of Cl/N, with transforms for all r + k generators: an
+    eliminated prime p_i maps to the image of qbar_i and lifts to 0."""
+    s = len(kept)
+    k = reduced.user_rank - s
+    pos = {i: t for t, i in enumerate(kept)}
+    basis = reduced.basis_change.tolists()
+    cl_rows = IntMatrix(basis[s:], cols=reduced.rank)
+    prime_rows = [basis[pos[i]] if i in pos else cl_rows.mul_vec(qbar)
+                  for i, qbar in enumerate(qbars)]
+    lifts = [[lift[pos[i]] if i in pos else 0 for i in range(r)] + lift[s:]
+             for lift in reduced.generator_lifts.tolists()]
+    return AbelianGroup(
+        reduced.invariant_factors,
+        basis_change=IntMatrix(prime_rows + basis[s:], cols=reduced.rank),
+        generator_lifts=IntMatrix(lifts, cols=r + k),
     )
 
 

@@ -33,7 +33,7 @@ together.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DeclaredDataError
 from .ntheory import is_prime
@@ -42,6 +42,7 @@ from .abgroup import bezout_gcd
 
 _TOP_KEYS = {"description", "class_invariants", "conductor_primes"}
 _PRIME_KEYS = {"label", "p", "residue_size_below", "places"}
+_PRIME_REQUIRED = {"p", "residue_size_below", "places"}
 _PLACE_KEYS = {"label", "degree", "ramification", "class_image"}
 
 
@@ -66,29 +67,54 @@ class DeclaredField:
     description: str
     class_invariants: tuple
     conductor_primes: tuple
+    # record by label, the first one when a label repeats; built once
+    _by_label: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_label = {}
+        for rec in self.conductor_primes:
+            by_label.setdefault(rec.label, rec)
+        object.__setattr__(self, "_by_label", by_label)
 
     def prime(self, label):
-        for rec in self.conductor_primes:
-            if rec.label == label:
-                return rec
-        raise DeclaredDataError(f"unknown conductor prime {label!r}")
+        rec = self._by_label.get(label)
+        if rec is None:
+            raise DeclaredDataError(f"unknown conductor prime {label!r}")
+        return rec
 
     @property
     def prime_labels(self):
         return tuple(rec.label for rec in self.conductor_primes)
 
 
-def _expect(cond, message, path):
-    if not cond:
-        raise DeclaredDataError(message, path=path)
+# The checks below build a path and a message only on the branch that
+# raises, so a valid document costs one pass over its values.  JSON yields
+# exact ints, so ``type(v) is int`` is "an integer and not a bool".
 
 
-def _check_int(value, path, minimum=None):
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"expected an integer, got {value!r}", path)
-    if minimum is not None:
-        _expect(value >= minimum, f"expected an integer >= {minimum}, got {value}", path)
-    return value
+def _keys_error(keys, allowed, required, path):
+    """Raise for a map whose keys are not between ``required`` and ``allowed``."""
+    extra = set(keys) - allowed
+    if extra:
+        raise DeclaredDataError(f"unknown keys {sorted(extra)}", path)
+    raise DeclaredDataError(f"missing keys {sorted(required - set(keys))}", path)
+
+
+def _int_error(value, path, minimum=None):
+    """Raise for a value that is not an integer, or one below ``minimum``."""
+    if type(value) is not int:
+        raise DeclaredDataError(f"expected an integer, got {value!r}", path)
+    raise DeclaredDataError(f"expected an integer >= {minimum}, got {value}", path)
+
+
+def _image_error(image, invariants, path):
+    """Raise for the first coordinate of ``image`` that is not reduced."""
+    for t, (v, dmod) in enumerate(zip(image, invariants)):
+        if type(v) is not int:
+            _int_error(v, f"{path}[{t}]")
+        if not 0 <= v < dmod:
+            raise DeclaredDataError(f"coordinate {v} is not reduced modulo {dmod}",
+                                    f"{path}[{t}]")
 
 
 def parse_declared(text: str) -> DeclaredField:
@@ -99,94 +125,105 @@ def parse_declared(text: str) -> DeclaredField:
         raise DeclaredDataError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    _expect(isinstance(raw, dict), "top level must be a single map", "$")
-    extra = set(raw) - _TOP_KEYS
-    _expect(not extra, f"unknown keys {sorted(extra)}", "$")
-    missing = _TOP_KEYS - set(raw)
-    _expect(not missing, f"missing keys {sorted(missing)}", "$")
+    if type(raw) is not dict:
+        raise DeclaredDataError("top level must be a single map", "$")
+    if raw.keys() != _TOP_KEYS:
+        _keys_error(raw, _TOP_KEYS, _TOP_KEYS, "$")
+    if type(raw["description"]) is not str:
+        raise DeclaredDataError("description must be a string", "description")
 
-    _expect(isinstance(raw["description"], str), "description must be a string",
-            "description")
-
-    inv = raw["class_invariants"]
-    _expect(isinstance(inv, list), "class_invariants must be a list",
-            "class_invariants")
-    invariants = []
-    for i, d in enumerate(inv):
-        path = f"class_invariants[{i}]"
-        _check_int(d, path, minimum=2)
-        if invariants:
-            _expect(d % invariants[-1] == 0,
-                    f"divisibility chain broken: {invariants[-1]} does not divide {d}",
-                    path)
-        invariants.append(d)
+    invariants = raw["class_invariants"]
+    if type(invariants) is not list:
+        raise DeclaredDataError("class_invariants must be a list", "class_invariants")
+    for i, d in enumerate(invariants):
+        if type(d) is not int or d < 2:
+            _int_error(d, f"class_invariants[{i}]", minimum=2)
+        if i and d % invariants[i - 1]:
+            raise DeclaredDataError(
+                f"divisibility chain broken: {invariants[i - 1]} does not divide {d}",
+                f"class_invariants[{i}]")
+    invariants = tuple(invariants)
+    width = len(invariants)
 
     recs = raw["conductor_primes"]
-    _expect(isinstance(recs, list), "conductor_primes must be a list",
-            "conductor_primes")
+    if type(recs) is not list:
+        raise DeclaredDataError("conductor_primes must be a list", "conductor_primes")
     primes = []
     labels_seen = set()
     for i, rec in enumerate(recs):
-        path = f"conductor_primes[{i}]"
-        _expect(isinstance(rec, dict), "each conductor prime must be a map", path)
-        extra = set(rec) - _PRIME_KEYS
-        _expect(not extra, f"unknown keys {sorted(extra)}", path)
-        missing = {"p", "residue_size_below", "places"} - set(rec)
-        _expect(not missing, f"missing keys {sorted(missing)}", path)
-        p = _check_int(rec["p"], f"{path}.p", minimum=2)
-        _expect(is_prime(p), f"{p} is not prime", f"{path}.p")
-        res = _check_int(rec["residue_size_below"], f"{path}.residue_size_below",
-                         minimum=2)
+        if type(rec) is not dict:
+            raise DeclaredDataError("each conductor prime must be a map",
+                                    f"conductor_primes[{i}]")
+        if not _PRIME_REQUIRED <= rec.keys() <= _PRIME_KEYS:
+            _keys_error(rec, _PRIME_KEYS, _PRIME_REQUIRED, f"conductor_primes[{i}]")
+        p = rec["p"]
+        if type(p) is not int or p < 2:
+            _int_error(p, f"conductor_primes[{i}].p", minimum=2)
+        if not is_prime(p):
+            raise DeclaredDataError(f"{p} is not prime", f"conductor_primes[{i}].p")
+        res = rec["residue_size_below"]
+        if type(res) is not int or res < 2:
+            _int_error(res, f"conductor_primes[{i}].residue_size_below", minimum=2)
         r = res
         while r % p == 0:
             r //= p
-        _expect(r == 1, f"residue size {res} is not a power of {p}",
-                f"{path}.residue_size_below")
-        label = rec.get("label", f"p{p}")
-        _expect(isinstance(label, str) and label,
-                "label must be a non-empty string", f"{path}.label")
-        _expect(label not in labels_seen, f"duplicate prime label {label!r}",
-                f"{path}.label")
+        if r != 1:
+            raise DeclaredDataError(f"residue size {res} is not a power of {p}",
+                                    f"conductor_primes[{i}].residue_size_below")
+        label = rec["label"] if "label" in rec else f"p{p}"
+        if type(label) is not str or not label:
+            raise DeclaredDataError("label must be a non-empty string",
+                                    f"conductor_primes[{i}].label")
+        if label in labels_seen:
+            raise DeclaredDataError(f"duplicate prime label {label!r}",
+                                    f"conductor_primes[{i}].label")
         labels_seen.add(label)
 
         raw_places = rec["places"]
-        _expect(isinstance(raw_places, list) and raw_places,
-                "places must be a non-empty list", f"{path}.places")
+        if type(raw_places) is not list or not raw_places:
+            raise DeclaredDataError("places must be a non-empty list",
+                                    f"conductor_primes[{i}].places")
         places = []
         place_labels = set()
         for j, pl in enumerate(raw_places):
-            ppath = f"{path}.places[{j}]"
-            _expect(isinstance(pl, dict), "each place must be a map", ppath)
-            extra = set(pl) - _PLACE_KEYS
-            _expect(not extra, f"unknown keys {sorted(extra)}", ppath)
-            missing = _PLACE_KEYS - set(pl)
-            _expect(not missing, f"missing keys {sorted(missing)}", ppath)
+            if type(pl) is not dict:
+                raise DeclaredDataError("each place must be a map",
+                                        f"conductor_primes[{i}].places[{j}]")
+            if pl.keys() != _PLACE_KEYS:
+                _keys_error(pl, _PLACE_KEYS, _PLACE_KEYS,
+                            f"conductor_primes[{i}].places[{j}]")
             plabel = pl["label"]
-            _expect(isinstance(plabel, str) and plabel,
-                    "label must be a non-empty string", f"{ppath}.label")
-            _expect(plabel not in place_labels,
+            if type(plabel) is not str or not plabel:
+                raise DeclaredDataError("label must be a non-empty string",
+                                        f"conductor_primes[{i}].places[{j}].label")
+            if plabel in place_labels:
+                raise DeclaredDataError(
                     f"duplicate place label {plabel!r} within the record",
-                    f"{ppath}.label")
+                    f"conductor_primes[{i}].places[{j}].label")
             place_labels.add(plabel)
-            degree = _check_int(pl["degree"], f"{ppath}.degree", minimum=1)
-            ram = _check_int(pl["ramification"], f"{ppath}.ramification", minimum=1)
+            degree = pl["degree"]
+            if type(degree) is not int or degree < 1:
+                _int_error(degree, f"conductor_primes[{i}].places[{j}].degree", minimum=1)
+            ram = pl["ramification"]
+            if type(ram) is not int or ram < 1:
+                _int_error(ram, f"conductor_primes[{i}].places[{j}].ramification",
+                           minimum=1)
             image = pl["class_image"]
-            _expect(isinstance(image, list),
-                    "class_image must be an integer vector", f"{ppath}.class_image")
-            _expect(len(image) == len(invariants),
-                    f"class_image has length {len(image)}, expected {len(invariants)}",
-                    f"{ppath}.class_image")
-            vec = []
-            for t, (v, dmod) in enumerate(zip(image, invariants)):
-                vpath = f"{ppath}.class_image[{t}]"
-                _check_int(v, vpath)
-                _expect(0 <= v < dmod,
-                        f"coordinate {v} is not reduced modulo {dmod}", vpath)
-                vec.append(v)
-            places.append(DeclaredPlace(plabel, degree, ram, tuple(vec)))
+            if type(image) is not list:
+                raise DeclaredDataError("class_image must be an integer vector",
+                                        f"conductor_primes[{i}].places[{j}].class_image")
+            if len(image) != width:
+                raise DeclaredDataError(
+                    f"class_image has length {len(image)}, expected {width}",
+                    f"conductor_primes[{i}].places[{j}].class_image")
+            for v, dmod in zip(image, invariants):
+                if type(v) is not int or not 0 <= v < dmod:
+                    _image_error(image, invariants,
+                                 f"conductor_primes[{i}].places[{j}].class_image")
+            places.append(DeclaredPlace(plabel, degree, ram, tuple(image)))
         primes.append(DeclaredPrime(label, p, res, tuple(places)))
 
-    return DeclaredField(raw["description"], tuple(invariants), tuple(primes))
+    return DeclaredField(raw["description"], invariants, tuple(primes))
 
 
 def serialize_declared(decl: DeclaredField) -> str:

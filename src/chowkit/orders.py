@@ -157,19 +157,21 @@ class OrderData:
 
         Q_i = sum_j lambda_{i,j} P_{i,j}; the N generator of P_{i,j} is
         (d_{i,j}/g_i)[Q_i] - [P_{i,j}], the class of its kernel generator.
+        Both are formed on coordinate vectors and reduced once per class.
         """
         cl = self.class_group()
         q_classes = []
         n_gens = []
         for prime in self.primes:
-            classes = [self.place_class(pl) for pl in prime.places]
-            q = cl.identity()
-            for lam, c in zip(prime.lambdas, classes):
+            coords = [self.place_class(pl).coords for pl in prime.places]
+            q = [0] * cl.rank
+            for lam, c in zip(prime.lambdas, coords):
                 if lam:
-                    q = q + lam * c
-            q_classes.append(q)
-            for pl, c in zip(prime.places, classes):
-                n_gens.append((pl.degree // prime.g) * q - c)
+                    q = [a + lam * b for a, b in zip(q, c)]
+            q_classes.append(cl.element(q))
+            for pl, c in zip(prime.places, coords):
+                m = pl.degree // prime.g
+                n_gens.append(cl.element([m * a - b for a, b in zip(q, c)]))
         return cl, tuple(q_classes), tuple(n_gens)
 
 
@@ -235,8 +237,9 @@ class DeclaredOrder(OrderData):
         return self._class_group
 
     def place_class(self, place_info) -> GroupElement:
-        """Declared ideal class of a place over the conductor."""
-        return self._class_group.member(place_info.class_image)
+        """Declared ideal class of a place over the conductor; the data holds
+        it in invariant coordinates already."""
+        return self._class_group.element(place_info.class_image)
 
     def invertible_place_class(self, label) -> GroupElement:
         raise BackendError(
@@ -369,11 +372,11 @@ def divisor_to_ideal(order: OrderData, D: Divisor) -> QIdeal:
     field = order.field
     if D.level != LEVEL_NORMALIZATION:
         raise ValueError("expected a divisor over the normalization")
-    acc = QIdeal.unit_ideal(field)
+    acc = None
     for label in sorted(D.support):
-        place = resolve_place(field, label)
-        acc = acc * place.ideal() ** D.support[label]
-    return acc
+        term = resolve_place(field, label).ideal() ** D.support[label]
+        acc = term if acc is None else acc * term
+    return QIdeal.unit_ideal(field) if acc is None else acc
 
 
 def _violator(places, k):

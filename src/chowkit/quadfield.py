@@ -368,16 +368,18 @@ class QIdeal:
         return QIdeal(self.field, a, (b - d) // 2, self.content * other.content * g)
 
     def __pow__(self, n):
+        """Left-to-right square-and-multiply: for n >= 1, bit_length(n) - 1
+        squarings and popcount(n) - 1 products, none with the unit ideal."""
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = QIdeal.unit_ideal(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return QIdeal.unit_ideal(self.field)
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def contains(self, elt: QElement) -> bool:

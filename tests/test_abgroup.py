@@ -197,6 +197,21 @@ def test_direct_sum_invariants():
     assert direct_sum_invariants([], []) == ()
 
 
+def test_direct_sum_invariants_against_quotient():
+    """gcd/lcm merging against the SNF of the diagonal (``quotient``), on
+    random lists with 0 and 1 entries."""
+    rng = random.Random(2026)
+    for _ in range(400):
+        lists = [[rng.choice((0, 1, 1, 2, 3, 4, 6, 8, 9, 12, 30, rng.randint(0, 300)))
+                  for _ in range(rng.randint(0, 5))]
+                 for _ in range(rng.randint(0, 3))]
+        moduli = [d for factors in lists for d in factors]
+        n = len(moduli)
+        rows = [[d if j == i else 0 for j in range(n)]
+                for i, d in enumerate(moduli) if d]
+        assert direct_sum_invariants(*lists) == quotient(n, rows).invariant_factors, lists
+
+
 def test_basis_change_and_lifts_are_sections():
     rng = random.Random(11)
     for _ in range(40):

@@ -1,0 +1,138 @@
+"""Elimination of the g_i = 1 primes in ``chow_group``, against the full
+(r + k)-column G/R presentation (``util.chow_by_full_presentation``)."""
+
+import random
+
+import pytest
+
+from chowkit.abgroup import element_order
+from chowkit.chow import chow_group, exact_sequence_data
+from chowkit.declared import declared_order
+from chowkit.orders import LEVEL_ORDER, Divisor, order_from_conductor
+from chowkit.quadfield import make_field
+from util import (
+    chow_by_full_presentation,
+    fabric_by_group_arithmetic,
+    random_declared_field,
+)
+
+# (d, f) of both signs; 5 is inert in Q(sqrt(-23)), 3 in Q(sqrt(-4)) and in
+# Q(sqrt(8)), 2 in Q(sqrt(5)) and Q(sqrt(-3)), so those primes have g = 2
+QUADRATIC = ((-23, 10), (-23, 30), (-20, 6), (-7, 14), (-4, 3), (-84, 6),
+             (-3, 10), (-71, 15), (8, 3), (40, 10), (5, 6), (13, 6),
+             (21, 10), (-15, 4))
+
+
+def _check_sections(pres):
+    """user_rank is r + k and generator_lifts sections basis_change."""
+    G = pres.result
+    assert G.user_rank == len(pres.order.primes) + pres.cl_mod_n.rank
+    assert G.generator_lifts.cols == G.user_rank
+    for j in range(G.rank):
+        unit = tuple(1 if t == j else 0 for t in range(G.rank))
+        assert G.member(G.generator_lifts.row(j)).coords == G.reduce(unit)
+
+
+def _check_against_reference(pres, rng, samples=30):
+    """Same group as the unreduced quotient, and the same homomorphism from
+    generator coordinates: every vector has the same order in both."""
+    ref = chow_by_full_presentation(pres.order)
+    G = pres.result
+    assert G.invariant_factors == ref.invariant_factors
+    n = G.user_rank
+    for _ in range(samples):
+        v = [rng.randint(-6, 6) for _ in range(n)]
+        assert element_order(G, G.member(v)) == element_order(ref, ref.member(v))
+    # the relation rows and the moduli of Cl/N map to 0
+    r = len(pres.order.primes)
+    for row in pres.relations.tolists():
+        assert G.member(row).is_identity()
+    for j, d in enumerate(pres.cl_mod_n.invariant_factors):
+        row = [0] * n
+        row[r + j] = d
+        assert G.member(row).is_identity()
+
+
+def _declared_cases():
+    rng = random.Random(1018)
+    out = []
+    for n_primes in (1, 5, 40, 150):
+        for chain, g_values, uniform in (
+                ((2, 6, 12), (1, 2, 3), True),    # Cl/N = Cl, nontrivial
+                ((2, 6, 12), (1, 2, 3), False),   # N from many classes
+                ((3, 6), (1,), True),             # every g_i = 1
+                ((2, 4), (1,), False),
+                ((), (1, 2, 3), False)):          # trivial class group
+            out.append(random_declared_field(rng, n_primes, chain, g_values, uniform))
+    return out
+
+
+def test_declared_orders_match_full_presentation():
+    rng = random.Random(7)
+    seen = set()
+    for decl in _declared_cases():
+        order = declared_order(decl, decl.prime_labels)
+        pres = chow_group(order)
+        _check_sections(pres)
+        _check_against_reference(pres, rng)
+        seen.add((pres.cl_mod_n.is_trivial(),
+                  all(p.g == 1 for p in order.primes)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("d, f", QUADRATIC)
+def test_quadratic_orders_match_full_presentation(d, f):
+    order = order_from_conductor(make_field(d), f)
+    pres = chow_group(order)
+    _check_sections(pres)
+    _check_against_reference(pres, random.Random(d * 1000 + f))
+
+
+def test_quadratic_corpus_has_both_kinds_of_primes():
+    gs = {p.g for d, f in QUADRATIC
+          for p in order_from_conductor(make_field(d), f).primes}
+    assert gs == {1, 2}
+
+
+def test_projection_is_additive_and_kills_relations():
+    rng = random.Random(31)
+    for decl in _declared_cases()[5:15]:
+        order = declared_order(decl, decl.prime_labels)
+        pres = chow_group(order)
+        labels = [p.label for p in order.primes]
+        for _ in range(10):
+            D1 = Divisor(LEVEL_ORDER, {l: rng.randint(-5, 5) for l in labels})
+            D2 = Divisor(LEVEL_ORDER, {l: rng.randint(-5, 5) for l in labels})
+            assert pres.project(D1 + D2) == pres.project(D1) + pres.project(D2)
+        # g_i p_i is the class of [Q_i]: a multiple of g_i at one prime
+        # projects to the image of its Cl/N part
+        G = pres.result
+        for i, prime in enumerate(order.primes):
+            D = Divisor(LEVEL_ORDER, {prime.label: prime.g})
+            qbar = pres.cl_mod_n.member(pres.q_classes[i].coords).coords
+            vec = [0] * len(labels) + list(qbar)
+            assert pres.project(D) == G.member(vec)
+
+
+@pytest.mark.parametrize("d, f", QUADRATIC[:6])
+def test_fabric_matches_group_arithmetic_quadratic(d, f):
+    order = order_from_conductor(make_field(d), f)
+    assert order.fabric == fabric_by_group_arithmetic(order)
+
+
+def test_fabric_matches_group_arithmetic_declared():
+    for decl in _declared_cases():
+        order = declared_order(decl, decl.prime_labels)
+        assert order.fabric == fabric_by_group_arithmetic(order)
+
+
+def test_exact_sequence_unchanged_by_elimination():
+    """The local parts still list every g_i, trivial ones included, and the
+    consistency check |Chow| = |Cl/N| * prod g_i holds."""
+    for decl in _declared_cases()[:10]:
+        order = declared_order(decl, decl.prime_labels)
+        es = exact_sequence_data(order)
+        assert es.local_orders == tuple(p.g for p in order.primes)
+        assert es.consistent
+        assert es.chow.invariant_factors == \
+            chow_by_full_presentation(order).invariant_factors

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from chowkit import FieldInputError, make_field
+from chowkit.abgroup import quotient, subgroup_quotient
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.orders import QuadraticOrder
 from chowkit.ntheory import egcd
@@ -245,3 +246,69 @@ def transcribe_to_declared(order, reverse_places=False):
         f"transcribed from disc {order.field.d}, conductor {order.conductor}",
         tuple(invariants), tuple(recs))
     return declared_order(decl, decl.prime_labels)
+
+
+def random_declared_field(rng, n_primes, chain, g_values=(1, 2, 3), uniform=False):
+    """Seeded declared data with ``n_primes`` records over the class group
+    with invariant factors ``chain``.
+
+    Each record gets g_i drawn from ``g_values``: its first place has
+    degree g_i, the others multiples of it.  With ``uniform`` every place of
+    a record has degree g_i and one shared class image, so every N
+    generator is 0 and Cl/N = Cl; otherwise the images are drawn per place.
+    """
+    records = []
+    for i in range(n_primes):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        g = rng.choice(g_values)
+        n_places = rng.randint(1, 4)
+        image = [rng.randrange(d) for d in chain]
+        places = []
+        for j in range(n_places):
+            degree = g if uniform or j == 0 else g * rng.choice((1, 2, 3, 5))
+            if not uniform:
+                image = [rng.randrange(d) for d in chain]
+            places.append(DeclaredPlace(f"P{i}_{j}", degree, rng.randint(1, 2),
+                                        tuple(image)))
+        records.append(DeclaredPrime(f"q{i}", p, p, tuple(places)))
+    return DeclaredField(f"{n_primes} random primes", tuple(chain), tuple(records))
+
+
+def fabric_by_group_arithmetic(order):
+    """(Cl, [Q_i], N generators) by group-element arithmetic: the reference
+    for ``OrderData.fabric``.  A declared class image is read as a vector in
+    the class group's presentation coordinates (``member``)."""
+    cl = order.class_group()
+    q_classes = []
+    n_gens = []
+    for prime in order.primes:
+        classes = [order.place_class(pl) if pl.class_image is None
+                   else cl.member(pl.class_image) for pl in prime.places]
+        q = cl.identity()
+        for lam, c in zip(prime.lambdas, classes):
+            q = q + lam * c
+        q_classes.append(q)
+        n_gens += [(pl.degree // prime.g) * q - c
+                   for pl, c in zip(prime.places, classes)]
+    return cl, tuple(q_classes), tuple(n_gens)
+
+
+def chow_by_full_presentation(order):
+    """Chow(O) = G/R by one ``quotient`` of the full (r + k)-column matrix:
+    the moduli of Cl/N, then (g_i p_i, -[Q_i]) for every prime, none
+    eliminated.  The reference for ``chow.chow_group``."""
+    cl, q_classes, n_gens = fabric_by_group_arithmetic(order)
+    cl_mod_n = subgroup_quotient(cl, n_gens)
+    r, k = len(order.primes), cl_mod_n.rank
+    rows = []
+    for j, d in enumerate(cl_mod_n.invariant_factors):
+        row = [0] * (r + k)
+        row[r + j] = d
+        rows.append(row)
+    for i, (prime, q) in enumerate(zip(order.primes, q_classes)):
+        row = [0] * (r + k)
+        row[i] = prime.g
+        for j, c in enumerate(cl_mod_n.member(q.coords).coords):
+            row[r + j] = -c
+        rows.append(row)
+    return quotient(r + k, rows)
