@@ -77,6 +77,7 @@ class DeclaredField:
         object.__setattr__(self, "_by_label", by_label)
 
     def prime(self, label):
+        """The record with this label, looked up in constant time."""
         rec = self._by_label.get(label)
         if rec is None:
             raise DeclaredDataError(f"unknown conductor prime {label!r}")
