@@ -1,8 +1,9 @@
-"""Deterministic guards on the cost of the declared path, by counting calls.
+"""Deterministic guards on cost, by counting calls instead of timing.
 
-No timing: each test fails when a change brings back work that grows
-quadratically with the number of conductor primes, so a regression shows in
-the test suite before it shows in the benchmark.
+The declared path: each test fails when a change brings back work that
+grows quadratically with the number of conductor primes.  Ideal powers and
+divisor ideals: the exact number of products, none with the unit ideal.  A
+regression shows in the test suite before it shows in the benchmark.
 """
 
 import random
