@@ -18,7 +18,10 @@ reads:
   * ``solve_combination``: U times the target and V times one vector;
   * ``smith_normal_form``: U and V in full, never V^-1.
 ``direct_sum_invariants`` needs no SNF: a diagonal is put in Smith form by
-gcd/lcm merging.
+gcd/lcm merging.  ``subgroup_quotient`` first reduces its generators into an
+upper-triangular (Hermite) basis, one at a time, and stops once every pivot
+is 1 (Cohen, GTM 138, Sec. 2.4.2), so its SNF sees at most rank(G) rows
+however many generators there are.
 
 Conventions:
   * invariant factors are listed as d_1 | d_2 | ... with every d_i >= 2,
@@ -461,23 +464,63 @@ def element_order(G, g):
 
 
 def subgroup_quotient(G, subgen):
-    """G modulo the subgroup generated by the given elements.
+    """G modulo the subgroup N generated by the given elements.
+
+    N is kept as an upper-triangular (Hermite) basis of its lattice in Z^k,
+    k = rank(G) (Cohen, GTM 138, Sec. 2.4.2).  The basis starts from the
+    rows d_j*e_j of the finite factors (a free factor has none), and each
+    generator is reduced into it as it arrives: at each nonzero column it
+    either takes a free pivot slot, or is eliminated by the pivot row, or,
+    when the pivot does not divide its entry, the two rows are replaced by
+    their extended-gcd combination.  A zero generator costs nothing.  Once
+    every pivot is 1, N is all of G and the remaining generators are
+    skipped.  ``quotient`` then sees at most k rows, however many
+    generators there are.
 
     The result's basis_change projects invariant-factor coordinates of G to
     the quotient; its generator_lifts pick preimages in G.
+
+    >>> G = AbelianGroup([2, 4, 0])
+    >>> subgroup_quotient(G, [G.element([1, 2, 0])]).describe()
+    'Z/4 x Z'
+    >>> C6 = AbelianGroup([6])
+    >>> subgroup_quotient(C6, [C6.element([2]), C6.element([3])]).is_trivial()
+    True
     """
-    k = G.rank
-    rows = []
-    for j, d in enumerate(G.invariant_factors):
-        if d:
-            row = [0] * k
-            row[j] = d
-            rows.append(row)
+    factors = G.invariant_factors
+    k = len(factors)
+    # basis[j]: the row whose first nonzero entry, > 0, is at column j
+    basis = [[0] * j + [d] + [0] * (k - j - 1) if d else None
+             for j, d in enumerate(factors)]
+    units = 0  # pivots equal to 1
     for g in subgen:
         if g.group is not G:
             raise ValueError("subgroup generator from a different group")
-        rows.append(list(g.coords))
-    return quotient(k, rows)
+        if units == k:
+            continue
+        v = g.coords
+        for j in range(k):
+            a = v[j]
+            if not a:
+                continue
+            row = basis[j]
+            if row is None:
+                basis[j] = list(v) if a > 0 else [-x for x in v]
+                units += a in (1, -1)
+                break
+            p = row[j]
+            if a % p == 0:
+                q = a // p
+                v = [x - q * y for x, y in zip(v, row)]
+                continue
+            h, s, t = egcd(p, a)
+            # [[s, t], [-a/h, p/h]] is unimodular: the lattice is unchanged,
+            # and the new pivot h = gcd(p, a) divides the old one
+            new = [s * y + t * x for x, y in zip(v, row)]
+            v = [p // h * x - a // h * y for x, y in zip(v, row)]
+            basis[j] = new[:j + 1] + list(_canonical(new[j + 1:], factors[j + 1:]))
+            units += h == 1
+    return quotient(k, [row for row in basis if row is not None])
 
 
 def bezout_gcd(values):

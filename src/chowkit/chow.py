@@ -9,9 +9,14 @@ take
     N = < classes of (d_{i,j}/g_i)*Q_i - P_{i,j} >,
     R = < (g_i * p_i, -[Q_i]) >,
 
-and Chow(O) = G/R.  A prime with g_i = 1 has the relation p_i = [Q_i], so
-its generator and its relation are eliminated before the Smith normal form,
-which then sees only the primes with g_i > 1 and the generators of Cl/N.
+and Chow(O) = G/R.  Cl/N comes from a Hermite basis of N (Cohen, GTM 138,
+Sec. 2.4.2): the N generators, one per place, are reduced into at most
+rank(Cl) rows as they arrive, and the reduction stops once N = Cl, so the
+Smith normal form of Cl/N never sees one row per place.  [Q_i] takes few
+distinct values, and each is mapped to Cl/N once.  A prime with g_i = 1 has
+the relation p_i = [Q_i], so its generator and its relation are eliminated
+before the Smith normal form of G/R, which then sees only the primes with
+g_i > 1 and the generators of Cl/N.
 The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
@@ -115,7 +120,10 @@ def chow_group(order: OrderData) -> ChowPresentation:
     cl_mod_n = subgroup_quotient(cl, n_gens)
     r = len(order.primes)
     k = cl_mod_n.rank
-    qbars = [cl_mod_n.member(q.coords).coords for q in q_classes]
+    # [Q_i] takes few distinct values: map each one to Cl/N once
+    image = {c: cl_mod_n.member(c).coords
+             for c in dict.fromkeys(q.coords for q in q_classes)}
+    qbars = [image[q.coords] for q in q_classes]
     r_rows = []
     for i, (prime, qbar) in enumerate(zip(order.primes, qbars)):
         row = [0] * r + [-c for c in qbar]
@@ -157,7 +165,8 @@ def _expand_presentation(reduced, r, kept, qbars):
     pos = {i: t for t, i in enumerate(kept)}
     basis = reduced.basis_change.tolists()
     cl_rows = IntMatrix(basis[s:], cols=reduced.rank)
-    prime_rows = [basis[pos[i]] if i in pos else cl_rows.mul_vec(qbar)
+    moved = {qbar: cl_rows.mul_vec(qbar) for qbar in dict.fromkeys(qbars)}
+    prime_rows = [basis[pos[i]] if i in pos else moved[qbar]
                   for i, qbar in enumerate(qbars)]
     lifts = [[lift[pos[i]] if i in pos else 0 for i in range(r)] + lift[s:]
              for lift in reduced.generator_lifts.tolists()]

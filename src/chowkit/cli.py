@@ -44,7 +44,6 @@ from .orders import (
     Divisor,
     QuadraticOrder,
     conductor_test,
-    local_chow,
     order_conductor_test,
     order_from_conductor,
     prop_fix_report,
@@ -243,7 +242,7 @@ def cmd_order_info(args):
     for i, prime in enumerate(order.primes):
         places = ", ".join(
             f"{pl.label} (d={pl.degree}, e={pl.e})" for pl in prime.places)
-        lc = local_chow(order, i).invariant_factors
+        lc = [prime.g] if prime.g > 1 else []   # the local Chow group Z/g_i
         lines.append(
             f"  {prime.label}: residue F_{prime.residue_size}; places {places}; "
             f"g = {prime.g}; local Chow: {_group_str(lc)}")

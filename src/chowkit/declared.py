@@ -151,6 +151,7 @@ def parse_declared(text: str) -> DeclaredField:
         raise DeclaredDataError("conductor_primes must be a list", "conductor_primes")
     primes = []
     labels_seen = set()
+    known_primes = set()  # a file repeats a handful of p: test each once
     for i, rec in enumerate(recs):
         if type(rec) is not dict:
             raise DeclaredDataError("each conductor prime must be a map",
@@ -160,8 +161,10 @@ def parse_declared(text: str) -> DeclaredField:
         p = rec["p"]
         if type(p) is not int or p < 2:
             _int_error(p, f"conductor_primes[{i}].p", minimum=2)
-        if not is_prime(p):
-            raise DeclaredDataError(f"{p} is not prime", f"conductor_primes[{i}].p")
+        if p not in known_primes:
+            if not is_prime(p):
+                raise DeclaredDataError(f"{p} is not prime", f"conductor_primes[{i}].p")
+            known_primes.add(p)
         res = rec["residue_size_below"]
         if type(res) is not int or res < 2:
             _int_error(res, f"conductor_primes[{i}].residue_size_below", minimum=2)

@@ -157,9 +157,12 @@ class OrderData:
 
         Q_i = sum_j lambda_{i,j} P_{i,j}; the N generator of P_{i,j} is
         (d_{i,j}/g_i)[Q_i] - [P_{i,j}], the class of its kernel generator.
-        Both are formed on coordinate vectors and reduced once per class.
+        Both are formed on the reduced coordinates of the place classes and
+        reduced once each, as group-element arithmetic does, not checked
+        again.
         """
         cl = self.class_group()
+        one = cl.identity()
         q_classes = []
         n_gens = []
         for prime in self.primes:
@@ -168,10 +171,10 @@ class OrderData:
             for lam, c in zip(prime.lambdas, coords):
                 if lam:
                     q = [a + lam * b for a, b in zip(q, c)]
-            q_classes.append(cl.element(q))
+            q_classes.append(one._like(q))
             for pl, c in zip(prime.places, coords):
                 m = pl.degree // prime.g
-                n_gens.append(cl.element([m * a - b for a, b in zip(q, c)]))
+                n_gens.append(one._like([m * a - b for a, b in zip(q, c)]))
         return cl, tuple(q_classes), tuple(n_gens)
 
 
@@ -226,6 +229,7 @@ class DeclaredOrder(OrderData):
         self.declared = declared
         self.selection = tuple(selection)
         self._class_group = AbelianGroup(declared.class_invariants)
+        self._classes = {}  # class element per distinct declared class image
 
     @property
     def field(self):
@@ -238,8 +242,13 @@ class DeclaredOrder(OrderData):
 
     def place_class(self, place_info) -> GroupElement:
         """Declared ideal class of a place over the conductor; the data holds
-        it in invariant coordinates already."""
-        return self._class_group.element(place_info.class_image)
+        it in invariant coordinates already.  Each distinct image is checked
+        and reduced once per order."""
+        image = place_info.class_image
+        cls = self._classes.get(image)
+        if cls is None:
+            cls = self._classes[image] = self._class_group.element(image)
+        return cls
 
     def invertible_place_class(self, label) -> GroupElement:
         raise BackendError(

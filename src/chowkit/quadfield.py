@@ -38,12 +38,11 @@ plus, for d > 0, one reduction cycle.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .abgroup import quotient, subgroup_quotient
+from .abgroup import quotient
 from .errors import FieldInputError, SearchBoundExceeded
 from .ntheory import (
     egcd,
@@ -58,7 +57,6 @@ MAX_CLASS_DISC = 10**6
 
 _CLASS_CACHE = {}
 _UNIT_CACHE = {}
-_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -728,8 +726,7 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
     """Class group of the maximal order, memoized per field."""
     d = field.d
     check_class_disc(d, max_disc)
-    with _CACHE_LOCK:
-        cached = _CLASS_CACHE.get(d)
+    cached = _CLASS_CACHE.get(d)
     if cached is not None:
         return cached
 
@@ -757,8 +754,16 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
     group = narrow
     lift_total = narrow.generator_lifts
     if d > 0:
-        t_elt = narrow.member(table[_class_key(d, sd, sqrt_d_form, memo)])
-        wide = subgroup_quotient(narrow, [t_elt])
+        # narrow modulo the class t of sqrt(d)*Z[w], by one quotient of the
+        # moduli rows and t's row as they stand.  These rows set the class
+        # coordinates, and with them the representatives and the generators
+        # the CLI prints; the Hermite basis of subgroup_quotient gives the
+        # same group in other coordinates for some fields (d = 1365, 1740)
+        t = narrow.member(table[_class_key(d, sd, sqrt_d_form, memo)]).coords
+        k = narrow.rank
+        moduli = [[m if i == j else 0 for i in range(k)]
+                  for j, m in enumerate(narrow.invariant_factors)]
+        wide = quotient(k, moduli + [list(t)])
         group = wide
         lift_total = wide.generator_lifts @ narrow.generator_lifts
 
@@ -772,8 +777,7 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
         reps.append(QIdeal(field, a, (b - d) // 2))
 
     data = ClassGroupData(field, group, tuple(reps), narrow, table, wide)
-    with _CACHE_LOCK:
-        _CLASS_CACHE.setdefault(d, data)
+    _CLASS_CACHE[d] = data
     return data
 
 
@@ -782,8 +786,7 @@ def fundamental_unit(field: QuadField) -> QElement:
     if not field.is_real:
         raise FieldInputError("fundamental unit requires a real field")
     d = field.d
-    with _CACHE_LOCK:
-        cached = _UNIT_CACHE.get(d)
+    cached = _UNIT_CACHE.get(d)
     if cached is not None:
         return cached
     sd = isqrt(d)
@@ -819,8 +822,7 @@ def fundamental_unit(field: QuadField) -> QElement:
         eps = QElement(field, q_cur * u + 2 * q_prev, q_cur, 1)
     if abs(eps.norm()) != 1:
         raise RuntimeError(f"continued fraction produced a non-unit for d={d}")
-    with _CACHE_LOCK:
-        _UNIT_CACHE.setdefault(d, eps)
+    _UNIT_CACHE[d] = eps
     return eps
 
 

@@ -19,7 +19,7 @@ from chowkit.abgroup import (
     solve_combination,
     subgroup_quotient,
 )
-from util import enumerate_subgroup_order
+from util import enumerate_subgroup_order, subgroup_quotient_by_raw_rows
 
 
 def diag_of(D):
@@ -326,3 +326,69 @@ def test_wide_solve_combination_oracle():
                     got = got + c * e
                 assert got == target
     assert answers == {False, True}
+
+
+def _subgroup_cases(rng):
+    """Seeded (G, generators): chains with free factors, zero and repeated
+    generators, and generating sets of all of G, where the early stop of the
+    Hermite reduction fires."""
+    for _ in range(400):
+        G = AbelianGroup(random_chain(rng, rng.randint(0, 4)) + [0] * rng.randint(0, 2))
+
+        def draw():
+            return G.element([rng.randrange(d) if d else rng.randint(-6, 6)
+                              for d in G.invariant_factors])
+
+        gens = [draw() for _ in range(rng.randint(0, 6))]
+        if gens and rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.3:
+            gens.insert(rng.randint(0, len(gens)), G.identity())
+        if rng.random() < 0.3:
+            units = [G.element([int(t == j) for t in range(G.rank)]) for j in range(G.rank)]
+            at = rng.randint(0, len(gens))
+            gens[at:at] = rng.sample(units, len(units))
+        yield G, gens
+
+
+def test_subgroup_quotient_against_raw_rows():
+    """The Hermite basis against one quotient of every raw row: the same
+    invariant factors; basis_change kills each generator and each modulus,
+    and generator_lifts sections it."""
+    rng = random.Random(2405)
+    trivial = 0
+    for G, gens in _subgroup_cases(rng):
+        Q = subgroup_quotient(G, gens)
+        assert Q.invariant_factors == subgroup_quotient_by_raw_rows(G, gens).invariant_factors
+        assert Q.user_rank == G.rank
+        trivial += Q.is_trivial() and bool(G.rank)
+        for g in gens:
+            assert Q.member(g.coords).is_identity()
+        for j, d in enumerate(G.invariant_factors):
+            if d:
+                assert Q.member([d if t == j else 0 for t in range(G.rank)]).is_identity()
+        for j in range(Q.rank):
+            unit = tuple(1 if t == j else 0 for t in range(Q.rank))
+            assert Q.member(Q.generator_lifts.row(j)).coords == Q.reduce(unit)
+    assert trivial > 50
+
+
+class _Unread:
+    """A stand-in generator that fails when its coordinates are read."""
+
+    def __init__(self, G):
+        self.group = G
+
+    @property
+    def coords(self):
+        raise AssertionError("generator read after the subgroup became all of G")
+
+
+def test_subgroup_quotient_stops_once_n_is_g():
+    C6 = AbelianGroup([6])
+    assert subgroup_quotient(C6, [C6.element([2]), C6.element([3]), _Unread(C6)]).is_trivial()
+    G = AbelianGroup([2, 4, 0])
+    full = [G.element([0, 0, 1]), G.element([1, 2, 3]), G.element([0, 1, 4])]
+    assert subgroup_quotient(G, full + [_Unread(G)] * 3).is_trivial()
+    with pytest.raises(ValueError):
+        subgroup_quotient(C6, [C6.element([1]), AbelianGroup([6]).identity()])

@@ -1,7 +1,8 @@
 """Deterministic guards on cost, by counting calls instead of timing.
 
 The declared path: each test fails when a change brings back work that
-grows quadratically with the number of conductor primes.  Ideal powers and
+grows quadratically with the number of conductor primes, or work repeated
+per place or per record on values that a file repeats.  Ideal powers and
 divisor ideals: the exact number of products, none with the unit ideal.  A
 regression shows in the test suite before it shows in the benchmark.
 """
@@ -10,9 +11,9 @@ import random
 
 import pytest
 
-from chowkit import chow
+from chowkit import abgroup, chow, declared
 from chowkit.abgroup import AbelianGroup
-from chowkit.declared import DeclaredField, declared_order
+from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
 from chowkit.quadfield import QIdeal, make_field, splitting
 from chowkit.orders import LEVEL_NORMALIZATION, Divisor, divisor_to_ideal, order_from_conductor
 from util import random_declared_field
@@ -59,6 +60,76 @@ def test_declared_fabric_calls_no_member(monkeypatch):
     assert calls == []
     assert len(q_classes) == N_PRIMES
     assert len(n_gens) == sum(len(p.places) for p in order.primes)
+
+
+def test_n_quotient_sees_at_most_rank_cl_rows(monkeypatch):
+    decl = _big_field(uniform=False)
+    order = declared_order(decl, decl.prime_labels)
+    cl, _, n_gens = order.fabric
+    shapes = []
+    original = abgroup.quotient
+
+    def counting(n, rows):
+        shapes.append((n, len(rows)))
+        return original(n, rows)
+
+    # the quotient inside subgroup_quotient; chow_group's own is chow.quotient
+    monkeypatch.setattr(abgroup, "quotient", counting)
+    chow.chow_group(order)
+    assert len(n_gens) > N_PRIMES > cl.rank == 3
+    assert len(shapes) == 1
+    assert shapes[0][0] == cl.rank and shapes[0][1] <= cl.rank
+
+
+def test_declared_fabric_reduces_each_class_image_once(monkeypatch):
+    decl = _big_field(uniform=False)
+    order = declared_order(decl, decl.prime_labels)
+    calls = []
+    original = AbelianGroup.element
+
+    def counting(self, coords):
+        calls.append(tuple(coords))
+        return original(self, coords)
+
+    monkeypatch.setattr(AbelianGroup, "element", counting)
+    order.fabric
+    places = [pl for prime in order.primes for pl in prime.places]
+    assert sorted(calls) == sorted({pl.class_image for pl in places})
+    assert len(calls) < len(places)
+
+
+def test_chow_group_maps_each_q_class_once(monkeypatch):
+    decl = _big_field(uniform=False)
+    order = declared_order(decl, decl.prime_labels)
+    _, q_classes, _ = order.fabric
+    calls = []
+    original = AbelianGroup.member
+
+    def counting(self, vector):
+        calls.append(tuple(vector))
+        return original(self, vector)
+
+    monkeypatch.setattr(AbelianGroup, "member", counting)
+    chow.chow_group(order)
+    distinct = {q.coords for q in q_classes}
+    assert len(calls) == len(set(calls)) and set(calls) <= distinct
+    assert len(distinct) < N_PRIMES
+
+
+def test_parse_declared_tests_each_p_once(monkeypatch):
+    text = serialize_declared(_big_field(uniform=False))
+    calls = []
+    original = declared.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(declared, "is_prime", counting)
+    decl = parse_declared(text)
+    primes = {rec.p for rec in decl.conductor_primes}
+    assert sorted(calls) == sorted(primes)
+    assert len(primes) < N_PRIMES
 
 
 class _CountingTuple(tuple):

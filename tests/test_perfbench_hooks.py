@@ -1,14 +1,17 @@
-"""The benchmark's hooks into chowkit: traced names and the worker's calls.
+"""The benchmark's hooks into chowkit: traced names, the worker's calls and
+the worker's output checks.
 
 ``perfbench/tracing.py`` wraps chowkit functions by identity and two methods
 on their classes, and ``perfbench/worker.py`` calls the library with fixed
-keywords.  These tests read both contracts from the library side, so a
-change that breaks ``--trace 1`` or the worker fails here.
+keywords and checks each op's output against independent data.  These tests
+read those contracts from the library side, so a change that breaks
+``--trace 1``, the worker or a benchmark check fails here.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -17,15 +20,28 @@ import chowkit
 from chowkit import Divisor, div_over_order, make_field, order_from_conductor
 from chowkit.quadfield import QElement
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    """perfbench/<name>.py as a module, read from its file and not edited."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """(workloads, worker); the worker imports its sibling ``speed``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return _load("workloads"), _load("worker")
 
 
 def test_traced_names_resolve(tracing):
@@ -64,3 +80,23 @@ def test_worker_calls_under_the_tracer(tracing):
     assert metrics["quadfield.is_principal.calls"] >= 2
     assert metrics["orders.divisor_kernel_witness.none"] == 0
     assert metrics["quadfield.is_principal.bound_exceeded"] == 0
+
+
+@pytest.mark.parametrize("workload, n_ops", [
+    ("table-cold", 16), ("principal-warm", 20), ("declared-chow", 12)])
+def test_benchmark_checks_pass(bench, tmp_path, workload, n_ops):
+    # a few seeded ops of each workload through the worker's own set-up, op
+    # and check functions, in process; the inputs go through JSON as they
+    # do on the way to the worker
+    workloads, worker = bench
+    generate = {
+        "table-cold": lambda: workloads.table_cold(1, n_ops),
+        "principal-warm": lambda: workloads.principal_warm(1, n_ops),
+        "declared-chow": lambda: workloads.declared_chow(1, n_ops, str(tmp_path)),
+    }[workload]
+    inputs = json.loads(json.dumps(generate()))
+    setup, execute, check = worker.WORKLOADS[workload]
+    state = setup(inputs["setup"])
+    assert len(inputs["ops"]) == n_ops
+    for k, op in enumerate(inputs["ops"]):
+        assert check(state, op, execute(state, op)) is None, (k, op)

@@ -432,3 +432,19 @@ def test_residue_unit_cardinality_formula():
         F = make_field(d)
         for f in (2, 3, 4, 5, 6):
             assert residue_unit_cardinality(F, f) == brute(F, f), (d, f)
+
+
+@pytest.mark.parametrize("d, reps", [
+    (1365, [(7, 0), (3, 0)]),
+    (1740, [(7, 4), (2, 1)]),
+    (1848, [(7, 0), (2, 0)]),
+    (2040, [(5, 0), (2, 0)]),
+])
+def test_real_class_coordinates_are_pinned(d, reps):
+    # the wide class group's generators, as the narrow-to-wide quotient has
+    # always chosen them; a different quotient (the Hermite basis of
+    # subgroup_quotient) gives these Z/2 x Z/2 groups in the other order,
+    # and every class coordinate and printed generator would follow
+    cg = class_group(make_field(d))
+    assert cg.invariant_factors == (2, 2)
+    assert [(I.a, I.b) for I in cg.representatives] == reps

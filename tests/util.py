@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from chowkit import FieldInputError, make_field
-from chowkit.abgroup import quotient, subgroup_quotient
+from chowkit.abgroup import quotient
 from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
 from chowkit.orders import QuadraticOrder
 from chowkit.ntheory import egcd
@@ -274,6 +274,21 @@ def random_declared_field(rng, n_primes, chain, g_values=(1, 2, 3), uniform=Fals
     return DeclaredField(f"{n_primes} random primes", tuple(chain), tuple(records))
 
 
+def subgroup_quotient_by_raw_rows(G, subgen):
+    """G modulo the subgroup generated by ``subgen``, by one ``quotient`` of
+    the rows d_j*e_j of the finite factors and one raw row per generator:
+    the reference for the Hermite ``abgroup.subgroup_quotient``."""
+    k = G.rank
+    rows = []
+    for j, d in enumerate(G.invariant_factors):
+        if d:
+            row = [0] * k
+            row[j] = d
+            rows.append(row)
+    rows += [list(g.coords) for g in subgen]
+    return quotient(k, rows)
+
+
 def fabric_by_group_arithmetic(order):
     """(Cl, [Q_i], N generators) by group-element arithmetic: the reference
     for ``OrderData.fabric``.  A declared class image is read as a vector in
@@ -298,7 +313,7 @@ def chow_by_full_presentation(order):
     the moduli of Cl/N, then (g_i p_i, -[Q_i]) for every prime, none
     eliminated.  The reference for ``chow.chow_group``."""
     cl, q_classes, n_gens = fabric_by_group_arithmetic(order)
-    cl_mod_n = subgroup_quotient(cl, n_gens)
+    cl_mod_n = subgroup_quotient_by_raw_rows(cl, n_gens)
     r, k = len(order.primes), cl_mod_n.rank
     rows = []
     for j, d in enumerate(cl_mod_n.invariant_factors):
