@@ -537,7 +537,7 @@ def bezout_gcd(values):
     (2, [1, 0])
     """
     values = [int(v) for v in values]
-    if not values or all(v == 0 for v in values):
+    if not any(values):
         raise ValueError("need at least one nonzero value")
     g = 0
     lambdas = [0] * len(values)

@@ -28,6 +28,11 @@ in invariant coordinates.  One file stores the superset of records for a
 field; an order is carved out by selecting a sublist of records, so the same
 place may appear in several records as long as no two of them are selected
 together.
+
+Parsed, each record is an ``orders.NonInvertiblePrime`` (``residue_size``
+from ``"residue_size_below"``) over ``DeclaredPlace``s (``e`` from
+``"ramification"``), with g and the Bezout coefficients derived once; an
+order holds the selected records themselves.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass, field
 
 from .errors import DeclaredDataError
 from .ntheory import is_prime
-from .orders import DeclaredOrder, NonInvertiblePrime, PlaceInfo
-from .abgroup import bezout_gcd
+from .orders import DeclaredOrder, NonInvertiblePrime
 
 _TOP_KEYS = {"description", "class_invariants", "conductor_primes"}
 _PRIME_KEYS = {"label", "p", "residue_size_below", "places"}
@@ -48,18 +52,13 @@ _PLACE_KEYS = {"label", "degree", "ramification", "class_image"}
 
 @dataclass(frozen=True)
 class DeclaredPlace:
+    """A declared place: ``e`` is its ramification exponent (the JSON key
+    ``"ramification"``), ``class_image`` its class in invariant coordinates."""
+
     label: str
     degree: int
-    ramification: int
+    e: int
     class_image: tuple
-
-
-@dataclass(frozen=True)
-class DeclaredPrime:
-    label: str
-    p: int
-    residue_size_below: int
-    places: tuple
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ def parse_declared(text: str) -> DeclaredField:
                     _image_error(image, invariants,
                                  f"conductor_primes[{i}].places[{j}].class_image")
             places.append(DeclaredPlace(plabel, degree, ram, tuple(image)))
-        primes.append(DeclaredPrime(label, p, res, tuple(places)))
+        primes.append(NonInvertiblePrime(label, p, res, tuple(places)))
 
     return DeclaredField(raw["description"], invariants, tuple(primes))
 
@@ -239,12 +238,12 @@ def serialize_declared(decl: DeclaredField) -> str:
             {
                 "label": rec.label,
                 "p": rec.p,
-                "residue_size_below": rec.residue_size_below,
+                "residue_size_below": rec.residue_size,
                 "places": [
                     {
                         "label": pl.label,
                         "degree": pl.degree,
-                        "ramification": pl.ramification,
+                        "ramification": pl.e,
                         "class_image": list(pl.class_image),
                     }
                     for pl in rec.places
@@ -274,13 +273,5 @@ def declared_order(decl: DeclaredField, active_primes) -> DeclaredOrder:
         if label in seen:
             raise DeclaredDataError(f"conductor prime {label!r} selected twice")
         seen.add(label)
-        rec = decl.prime(label)
-        infos = tuple(
-            PlaceInfo(pl.label, pl.degree, pl.ramification,
-                      class_image=pl.class_image)
-            for pl in rec.places
-        )
-        g, lambdas = bezout_gcd([pl.degree for pl in rec.places])
-        primes.append(NonInvertiblePrime(
-            rec.label, rec.p, rec.residue_size_below, infos, g, tuple(lambdas)))
+        primes.append(decl.prime(label))
     return DeclaredOrder(decl, selection, primes)

@@ -21,10 +21,6 @@ class NotConductorIdealError(ChowkitError):
     """The given ideal fails Furtwaengler's conductor criterion."""
 
 
-class UnsupportedOrderError(ChowkitError):
-    """Conductor ideal is valid but the resulting order is out of reach."""
-
-
 class SearchBoundExceeded(ChowkitError):
     """A step budget ran out before reaching a verdict."""
 

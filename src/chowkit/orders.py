@@ -10,17 +10,19 @@ An order is an ``OrderData`` from one of two backends:
     above it with their degrees, ramification exponents and ideal-class
     images.
 
-Both know their non-invertible primes together with the splitting fabric
-the divisor machinery consumes: degrees d_{i,j}, exponents e_{i,j}, the gcd
-g_i of the degrees and deterministic Bezout coefficients lambda_{i,j} with
-sum(lambda * d) = g.  Both answer ``class_group()``, ``place_class``,
-``place_label``, ``conductor_exponent`` and ``residue_unit_order``, and the
-base class builds the cached ``fabric`` (class group, [Q_i], N generators)
-from them; that is all the Chow group and the class test of a principal
-divisor need.  Ideal, element and unit arithmetic needs ``order.field``,
-which only a quadratic order has: on a declared order it raises
-``BackendError``, as does ``invertible_place_class`` (the data carries no
-classes outside the conductor).
+Both hold their non-invertible primes as ``NonInvertiblePrime`` records
+over the backend's own places (``quadfield.PrimePlace`` or
+``declared.DeclaredPlace``): each place carries its degree d_{i,j} and
+exponent e_{i,j}, and the record derives the gcd g_i of the degrees and
+deterministic Bezout coefficients lambda_{i,j} with sum(lambda * d) = g.
+Both answer ``class_group()``, ``place_class``, ``place_label``,
+``conductor_exponent`` and ``residue_unit_order``, and the base class
+builds the cached ``fabric`` (class group, [Q_i], N generators) from them;
+that is all the Chow group and the class test of a principal divisor need.
+Ideal, element and unit arithmetic needs ``order.field``, which only a
+quadratic order has: on a declared order it raises ``BackendError``, as
+does ``invertible_place_class`` (the data carries no classes outside the
+conductor).
 
 Divisors live on two levels.  Over the normalization they are supported on
 places (labels like ``2.0``, ``3`` or declared labels like ``P1``); over the
@@ -31,16 +33,12 @@ prime gets its own label (the rational prime for quadratic orders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from math import prod
 
 from .abgroup import AbelianGroup, GroupElement, bezout_gcd, element_order
-from .errors import (
-    BackendError,
-    NotConductorIdealError,
-    PlaceResolutionError,
-    UnsupportedOrderError,
-)
+from .errors import BackendError, NotConductorIdealError, PlaceResolutionError
 from .ntheory import factorize
 from .quadfield import (
     QElement,
@@ -109,24 +107,26 @@ class Divisor:
 
 
 @dataclass(frozen=True)
-class PlaceInfo:
-    """One place above a non-invertible prime."""
-
-    label: str
-    degree: int
-    e: int
-    place: object = None          # PrimePlace for the quadratic backend
-    class_image: tuple = None     # invariant coordinates for declared data
-
-
-@dataclass(frozen=True)
 class NonInvertiblePrime:
+    """A non-invertible prime with the backend's own places above it.
+
+    Each place (a ``PrimePlace`` or a ``DeclaredPlace``) has a ``label``, a
+    ``degree`` d_j and an exponent ``e``.  ``g`` = gcd_j d_j and the Bezout
+    coefficients ``lambdas`` (sum(lambda_j * d_j) = g) are derived from the
+    degrees once, when the prime is built.
+    """
+
     label: str
     p: int
     residue_size: int
     places: tuple
-    g: int
-    lambdas: tuple
+    g: int = dataclass_field(init=False)
+    lambdas: tuple = dataclass_field(init=False)
+
+    def __post_init__(self):
+        g, lambdas = bezout_gcd([pl.degree for pl in self.places])
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "lambdas", tuple(lambdas))
 
 
 class OrderData:
@@ -196,9 +196,9 @@ class QuadraticOrder(OrderData):
         """Class group of the normalization."""
         return class_group(self.field).group
 
-    def place_class(self, place_info) -> GroupElement:
+    def place_class(self, place) -> GroupElement:
         """Ideal class of a place of the normalization."""
-        return class_group(self.field).dlog(place_info.place.ideal())
+        return class_group(self.field).dlog(place.ideal())
 
     def invertible_place_class(self, label) -> GroupElement:
         """Ideal class of the place above an invertible prime of the order."""
@@ -240,11 +240,11 @@ class DeclaredOrder(OrderData):
         """Class group of the normalization, as declared."""
         return self._class_group
 
-    def place_class(self, place_info) -> GroupElement:
+    def place_class(self, place) -> GroupElement:
         """Declared ideal class of a place over the conductor; the data holds
         it in invariant coordinates already.  Each distinct image is checked
         and reduced once per order."""
-        image = place_info.class_image
+        image = place.class_image
         cls = self._classes.get(image)
         if cls is None:
             cls = self._classes[image] = self._class_group.element(image)
@@ -303,14 +303,8 @@ def order_from_conductor(field: QuadField, f: int) -> QuadraticOrder:
     f = int(f)
     if f < 1:
         raise ValueError("conductor must be >= 1")
-    primes = []
-    for p in sorted(factorize(f)):
-        places = splitting(field, p)
-        infos = tuple(
-            PlaceInfo(pl.label, pl.degree, pl.e, place=pl) for pl in places
-        )
-        g, lambdas = bezout_gcd([pl.degree for pl in infos])
-        primes.append(NonInvertiblePrime(str(p), p, p, infos, g, tuple(lambdas)))
+    primes = [NonInvertiblePrime(str(p), p, p, splitting(field, p))
+              for p in sorted(factorize(f))]
     return QuadraticOrder(field, f, primes)
 
 
@@ -318,14 +312,6 @@ def local_chow(order: OrderData, i: int) -> AbelianGroup:
     """Local Chow group at the i-th non-invertible prime: Z/g_i."""
     prime = order.primes[i]
     return AbelianGroup([prime.g] if prime.g > 1 else [])
-
-
-def local_chow_at(order: OrderData, p: int) -> AbelianGroup:
-    """Local Chow group at the primes over p (trivial when invertible)."""
-    for i, prime in enumerate(order.primes):
-        if prime.p == p:
-            return local_chow(order, i)
-    return AbelianGroup([])
 
 
 def pushforward(order: OrderData, D: Divisor) -> Divisor:
@@ -431,12 +417,6 @@ def conductor_test(field: QuadField, exponents):
     return True, None
 
 
-def is_conductor_ideal(field: QuadField, exponents) -> bool:
-    """True when the product of place powers occurs as a conductor."""
-    ok, _ = conductor_test(field, exponents)
-    return ok
-
-
 def order_conductor_test(order: OrderData):
     """Furtwaengler verdict for the conductor of an order.
 
@@ -455,38 +435,24 @@ def order_conductor_test(order: OrderData):
     return True, None
 
 
-def order_from_ideal(field: QuadField, exponents) -> OrderData:
+def order_from_ideal(field: QuadField, exponents) -> QuadraticOrder:
     """Order Z + A for a conductor ideal A given by place exponents.
 
-    Only ideals of the shape f*Z[w] produce quadratic orders; anything else
-    is rejected (it cannot occur for valid conductor ideals in a quadratic
-    field, but the check keeps the contract honest).
+    Every ideal that passes Furtwaengler's criterion is f*O~, so the order
+    is Z + f*O~: a split prime passes only with equal exponents on its two
+    places, a ramified one only with an even exponent, and an inert one has
+    no degree-1 place (its one place has e = 1).  So each exponent is
+    v_p(f) * e.
     """
     ok, viol = conductor_test(field, exponents)
     if not ok:
         raise NotConductorIdealError(
             f"not a conductor ideal (violating place {viol})")
-    by_p = {}
+    v = {}
     for label, k in exponents.items():
         place = resolve_place(field, label)
-        by_p.setdefault(place.p, {})[place.label] = int(k)
-    f = 1
-    for p in sorted(by_p):
-        places = splitting(field, p)
-        v = None
-        for pl in places:
-            k = by_p[p].get(pl.label, 0)
-            if k % pl.e:
-                raise UnsupportedOrderError(
-                    "unsupported non-monogenic-conductor order")
-            vj = k // pl.e
-            if v is None:
-                v = vj
-            elif v != vj:
-                raise UnsupportedOrderError(
-                    "unsupported non-monogenic-conductor order")
-        f *= p ** (v or 0)
-    return order_from_conductor(field, f)
+        v[place.p] = int(k) // place.e
+    return order_from_conductor(field, prod(p ** vp for p, vp in v.items()))
 
 
 @dataclass

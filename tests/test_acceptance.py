@@ -26,8 +26,8 @@ from chowkit.declared import declared_order, load_declared
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
     Divisor,
+    conductor_test,
     div_over_order,
-    is_conductor_ideal,
     order_from_conductor,
     prop_fix_report,
     pushforward,
@@ -278,8 +278,8 @@ def test_criterion_7h_furtwangler_multiplicative():
         ea = {lab: rng.randint(0, 3) for lab in pools[pa]}
         eb = {lab: rng.randint(0, 3) for lab in pools[pb]}
         both = {**ea, **eb}
-        assert is_conductor_ideal(F, both) == (
-            is_conductor_ideal(F, ea) and is_conductor_ideal(F, eb))
+        assert conductor_test(F, both)[0] == (
+            conductor_test(F, ea)[0] and conductor_test(F, eb)[0])
     _report("7h", "300 random coprime exponent pairs")
 
 

@@ -1,6 +1,7 @@
 """The two order backends: what a declared order refuses, Furtwaengler verdicts
 as order-info prints them, and the public namespace."""
 
+import importlib
 import json
 import random
 
@@ -72,8 +73,8 @@ def _closed_form(decl, selection):
     for label in selection:
         rec = decl.prime(label)
         for pl in rec.places:
-            if (rec.residue_size_below == rec.p and pl.degree == 1
-                    and pl.ramification == 1 and len(rec.places) == 1):
+            if (rec.residue_size == rec.p and pl.degree == 1
+                    and pl.e == 1 and len(rec.places) == 1):
                 return f"no (violator: {pl.label})"
     return "yes"
 
@@ -130,6 +131,17 @@ def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
         seen.add(expected == "yes")
         assert _furtwangler_line(capsys, argv + [",".join(selection)]) == expected
     assert seen == {True, False}
+
+
+_REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_chow_at",
+                  "UnsupportedOrderError")
+
+
+@pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
+                                    "chowkit.errors"])
+@pytest.mark.parametrize("name", _REMOVED_NAMES)
+def test_removed_names_stay_removed(name, module):
+    assert not hasattr(importlib.import_module(module), name)
 
 
 def test_public_names_resolve():

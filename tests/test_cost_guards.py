@@ -1,17 +1,18 @@
 """Deterministic guards on cost, by counting calls instead of timing.
 
 The declared path: each test fails when a change brings back work that
-grows quadratically with the number of conductor primes, or work repeated
-per place or per record on values that a file repeats.  Ideal powers and
-divisor ideals: the exact number of products, none with the unit ideal.  A
-regression shows in the test suite before it shows in the benchmark.
+grows quadratically with the number of conductor primes, work repeated
+per place or per record on values that a file repeats, or a copy of the
+parsed records per order.  Ideal powers and divisor ideals: the exact
+number of products, none with the unit ideal.  A regression shows in the
+test suite before it shows in the benchmark.
 """
 
 import random
 
 import pytest
 
-from chowkit import abgroup, chow, declared
+from chowkit import abgroup, chow, declared, orders
 from chowkit.abgroup import AbelianGroup
 from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
 from chowkit.quadfield import QIdeal, make_field, splitting
@@ -130,6 +131,29 @@ def test_parse_declared_tests_each_p_once(monkeypatch):
     primes = {rec.p for rec in decl.conductor_primes}
     assert sorted(calls) == sorted(primes)
     assert len(primes) < N_PRIMES
+
+
+def test_records_derive_g_once_and_orders_hold_them(monkeypatch):
+    """Counts ``bezout_gcd`` calls: ``parse_declared`` makes one per record,
+    when the record derives g and its lambdas, and ``declared_order`` makes
+    none, since its primes are the parsed records themselves."""
+    text = serialize_declared(_big_field(uniform=False))
+    calls = []
+    original = orders.bezout_gcd
+
+    def counting(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(orders, "bezout_gcd", counting)
+    decl = parse_declared(text)
+    assert len(calls) == N_PRIMES
+    del calls[:]
+    order = declared_order(decl, decl.prime_labels)
+    assert calls == []
+    assert all(prime is decl.prime(label)
+               for prime, label in zip(order.primes, decl.prime_labels))
+    assert len(order.primes) == N_PRIMES
 
 
 class _CountingTuple(tuple):

@@ -1,6 +1,7 @@
 """Declared-data ingestion: validation, round trips, backend equivalence."""
 
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from chowkit.declared import (
 from chowkit.errors import DeclaredDataError
 from chowkit.orders import order_from_conductor
 from chowkit.quadfield import make_field
-from util import transcribe_to_declared
+from util import random_declared_field, transcribe_to_declared
 
 BIQUAD = "data/biquad.decl"
 QUINTIC = "data/quintic.decl"
@@ -44,6 +45,11 @@ def test_round_trip():
     for path in (BIQUAD, QUINTIC):
         decl = load_declared(path)
         assert parse_declared(serialize_declared(decl)) == decl
+    # equality covers each record's derived g and lambdas, and e <-> "ramification"
+    for uniform in (True, False):
+        for seed, chain in enumerate(((), (2,), (3, 6), (2, 6, 12)) * 5):
+            decl = random_declared_field(random.Random(seed), 12, chain, uniform=uniform)
+            assert parse_declared(serialize_declared(decl)) == decl, (uniform, seed)
 
 
 def test_syntax_error_position():

@@ -5,8 +5,8 @@ from math import gcd, isqrt
 
 from chowkit import FieldInputError, make_field
 from chowkit.abgroup import quotient
-from chowkit.declared import DeclaredField, DeclaredPlace, DeclaredPrime, declared_order
-from chowkit.orders import QuadraticOrder
+from chowkit.declared import DeclaredField, DeclaredPlace, declared_order
+from chowkit.orders import DeclaredOrder, NonInvertiblePrime, QuadraticOrder
 from chowkit.ntheory import egcd
 from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit
 
@@ -236,12 +236,12 @@ def transcribe_to_declared(order, reverse_places=False):
     for prime in order.primes:
         places = []
         for pl in prime.places:
-            img = cg.dlog(pl.place.ideal()).coords
+            img = cg.dlog(pl.ideal()).coords
             places.append(DeclaredPlace(pl.label, pl.degree, pl.e, tuple(img)))
         if reverse_places:
             places = list(reversed(places))
-        recs.append(DeclaredPrime(prime.label, prime.p, prime.residue_size,
-                                  tuple(places)))
+        recs.append(NonInvertiblePrime(prime.label, prime.p, prime.residue_size,
+                                       tuple(places)))
     decl = DeclaredField(
         f"transcribed from disc {order.field.d}, conductor {order.conductor}",
         tuple(invariants), tuple(recs))
@@ -270,7 +270,7 @@ def random_declared_field(rng, n_primes, chain, g_values=(1, 2, 3), uniform=Fals
                 image = [rng.randrange(d) for d in chain]
             places.append(DeclaredPlace(f"P{i}_{j}", degree, rng.randint(1, 2),
                                         tuple(image)))
-        records.append(DeclaredPrime(f"q{i}", p, p, tuple(places)))
+        records.append(NonInvertiblePrime(f"q{i}", p, p, tuple(places)))
     return DeclaredField(f"{n_primes} random primes", tuple(chain), tuple(records))
 
 
@@ -294,11 +294,12 @@ def fabric_by_group_arithmetic(order):
     for ``OrderData.fabric``.  A declared class image is read as a vector in
     the class group's presentation coordinates (``member``)."""
     cl = order.class_group()
+    declared = isinstance(order, DeclaredOrder)
     q_classes = []
     n_gens = []
     for prime in order.primes:
-        classes = [order.place_class(pl) if pl.class_image is None
-                   else cl.member(pl.class_image) for pl in prime.places]
+        classes = [cl.member(pl.class_image) if declared
+                   else order.place_class(pl) for pl in prime.places]
         q = cl.identity()
         for lam, c in zip(prime.lambdas, classes):
             q = q + lam * c
