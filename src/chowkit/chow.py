@@ -16,16 +16,20 @@ Smith normal form of Cl/N never sees one row per place.  [Q_i] takes few
 distinct values, and each is mapped to Cl/N once.  A prime with g_i = 1 has
 the relation p_i = [Q_i], so its generator and its relation are eliminated
 before the Smith normal form of G/R, which then sees only the primes with
-g_i > 1 and the generators of Cl/N.
-The same data yields the exact-sequence decomposition
+g_i > 1 and the generators of Cl/N; the unreduced R is built only when
+read.  The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
 check against the kernel subgroup, and finally a principal-ideal generator.
+It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
+an odd |Cl| admits one, and then the primes below the class group's own
+prime bound suffice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .abgroup import (
@@ -53,6 +57,7 @@ from .orders import (
 from .quadfield import (
     QuadField,
     class_group as field_class_group,
+    class_prime_bound,
     fundamental_unit,
     is_principal,
     _splitting,
@@ -64,27 +69,29 @@ from .quadfield import (
 class ChowPresentation:
     """Chow group as a quotient G/R, with a divisor projection.
 
-    ``result`` is presented on all r + k generators (``user_rank``), but
-    when a prime with g_i = 1 is eliminated its transforms differ from
-    those of the Smith normal form of the unreduced G/R matrix: the group,
-    ``project`` up to that isomorphism, and every CLI output are the same.
-    ``relations`` keeps all r rows.
+    ``result`` is G/R presented on all r + k generators (``user_rank``):
+    the primes p_i, then the generators of Cl/N.  When a prime with g_i = 1
+    is eliminated its transforms differ from those of the Smith normal form
+    of the unreduced G/R matrix: the group, ``project`` up to that
+    isomorphism, and every CLI output are the same.  ``relations``, the
+    unreduced R, is built only when read.
     """
 
     order: OrderData
-    generator_labels: tuple          # labels of the free part and of Cl/N
-    n_generators: tuple              # classes generating N inside Cl
     q_classes: tuple                 # classes [Q_i], one per prime
-    relations: IntMatrix             # the rows (g_i p_i, -[Q_i])
     cl_mod_n: AbelianGroup
     result: AbelianGroup
 
-    @property
-    def invariant_factors(self):
-        return self.result.invariant_factors
-
-    def cardinality(self):
-        return self.result.cardinality()
+    @cached_property
+    def relations(self) -> IntMatrix:
+        """The r rows (g_i p_i, -[Q_i]) of R over the r + k generators."""
+        r = len(self.order.primes)
+        rows = []
+        for i, (prime, q) in enumerate(zip(self.order.primes, self.q_classes)):
+            row = [0] * r + [-c for c in self.cl_mod_n.member(q.coords).coords]
+            row[i] = prime.g
+            rows.append(row)
+        return IntMatrix(rows, cols=r + self.cl_mod_n.rank)
 
     def project(self, D: Divisor) -> GroupElement:
         """Class of a divisor over the order in the Chow group."""
@@ -111,49 +118,30 @@ def chow_group(order: OrderData) -> ChowPresentation:
 
     A prime with g_i = 1 has the relation p_i = [Q_i], so its generator and
     its relation are eliminated before the Smith normal form, which then
-    sees #{g_i > 1} + rank(Cl/N) columns.  The result's transforms are
-    rebuilt for all r + k generators: row p_i of ``basis_change`` of an
-    eliminated prime is the image of [Q_i], and its coordinate in every
-    generator lift is 0.
+    sees the moduli of Cl/N and the rows (g_i p_i, -qbar_i) of the primes
+    with g_i > 1, qbar_i being the image of [Q_i] in Cl/N: #{g_i > 1} +
+    rank(Cl/N) columns.  The result's transforms are rebuilt for all r + k
+    generators: row p_i of ``basis_change`` of an eliminated prime is the
+    image of qbar_i, and its coordinate in every generator lift is 0.
     """
     cl, q_classes, n_gens = order.fabric
     cl_mod_n = subgroup_quotient(cl, n_gens)
-    r = len(order.primes)
     k = cl_mod_n.rank
     # [Q_i] takes few distinct values: map each one to Cl/N once
     image = {c: cl_mod_n.member(c).coords
              for c in dict.fromkeys(q.coords for q in q_classes)}
     qbars = [image[q.coords] for q in q_classes]
-    r_rows = []
-    for i, (prime, qbar) in enumerate(zip(order.primes, qbars)):
-        row = [0] * r + [-c for c in qbar]
-        row[i] = prime.g
-        r_rows.append(row)
-    # the reduced presentation: the moduli of Cl/N, then the relations of
-    # the primes with g_i > 1 restricted to their own columns and Cl/N's
     kept = [i for i, prime in enumerate(order.primes) if prime.g > 1]
     s = len(kept)
-    rows = []
-    for j, dmod in enumerate(cl_mod_n.invariant_factors):
-        row = [0] * (s + k)
-        row[s + j] = dmod
-        rows.append(row)
+    rows = [[0] * (s + j) + [dmod] + [0] * (k - j - 1)
+            for j, dmod in enumerate(cl_mod_n.invariant_factors)]
     for t, i in enumerate(kept):
-        row = [0] * s + r_rows[i][r:]
+        row = [0] * s + [-c for c in qbars[i]]
         row[t] = order.primes[i].g
         rows.append(row)
-    result = _expand_presentation(quotient(s + k, rows), r, kept, qbars)
-    labels = tuple(p.label for p in order.primes) + tuple(
-        f"cl{j}" for j in range(k))
-    return ChowPresentation(
-        order=order,
-        generator_labels=labels,
-        n_generators=n_gens,
-        q_classes=q_classes,
-        relations=IntMatrix(r_rows, cols=r + k),
-        cl_mod_n=cl_mod_n,
-        result=result,
-    )
+    result = _expand_presentation(quotient(s + k, rows), len(order.primes),
+                                  kept, qbars)
+    return ChowPresentation(order, q_classes, cl_mod_n, result)
 
 
 def _expand_presentation(reduced, r, kept, qbars):
@@ -403,32 +391,49 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
 def find_trivial_chow_conductor(field: QuadField, prime_budget: int = 100):
     """Search for a conductor f with Chow(Z + f*O~) trivial.
 
-    Split primes are scanned in increasing order; a prime is kept when the
-    class of its kernel generator enlarges the subgroup N.  Success is
-    re-verified by an actual Chow computation.  Returns f or None.
+    Chow(Z + f*O~) is trivial exactly when no prime of f is inert (an inert
+    prime has local Chow group Z/2) and N = Cl.  A split prime p adds the
+    kernel classes 0 and [P] - [P'] = 2[P] to N, a ramified one adds 0, so
+    N lies in 2*Cl: an even |Cl| admits no such f, and None comes back at
+    once.  For odd |Cl|, 2*Cl = Cl, and Cl is spanned by the split primes up
+    to ``class_prime_bound`` (a ramified class has order 2, so it is 0), so
+    the scan stops there, or at the budget if that comes first.  Split
+    primes are taken in increasing order; a prime is kept when 2[P] is not 0
+    in the current Cl/N, which is then rebuilt.  Success is re-verified by
+    an actual Chow computation.  Returns f, or None.
+
+    >>> from chowkit.quadfield import make_field
+    >>> find_trivial_chow_conductor(make_field(-23))
+    2
+    >>> find_trivial_chow_conductor(make_field(-84)) is None   # |Cl| = 4
+    True
     """
     cg = field_class_group(field)
     cl = cg.group
     if cl.is_trivial():
         return 1
+    if cl.cardinality() % 2 == 0:
+        return None
+    bound = class_prime_bound(field.d)
+    cl_mod_n = subgroup_quotient(cl, ())
     n_sub = []
     chosen = []
-    for p in primes_below(prime_budget + 1):
+    for p in primes_below(min(prime_budget, bound) + 1):
         places = _splitting(field, p)
         if places[0].kind != "split":
             continue  # inert primes block, ramified ones contribute nothing
-        c = cg.dlog(places[0].ideal())
-        contrib = 2 * c
-        if contrib.is_identity():
-            continue
-        if solve_combination(cl, n_sub, contrib) is not None:
+        contrib = 2 * cg.dlog(places[0].ideal())
+        if cl_mod_n.member(contrib.coords).is_identity():
             continue
         n_sub.append(contrib)
         chosen.append(p)
-        if subgroup_quotient(cl, n_sub).is_trivial():
+        cl_mod_n = subgroup_quotient(cl, n_sub)
+        if cl_mod_n.is_trivial():
             f = prod(chosen)
             verify = chow_group(order_from_conductor(field, f))
             if not verify.result.is_trivial():
                 raise RuntimeError("search verified false positive; bug")
             return f
+    if prime_budget >= bound:
+        raise RuntimeError("odd class group not spanned below its prime bound; bug")
     return None

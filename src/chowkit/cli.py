@@ -44,6 +44,7 @@ from .orders import (
     Divisor,
     QuadraticOrder,
     conductor_test,
+    local_chow,
     order_conductor_test,
     order_from_conductor,
     prop_fix_report,
@@ -142,12 +143,6 @@ def _emit(args, doc, lines):
             print(line)
 
 
-def _group_str(invariants):
-    if not invariants:
-        return "trivial"
-    return " x ".join("Z" if d == 0 else f"Z/{d}" for d in invariants)
-
-
 def _describe(order):
     """(JSON context, field line, order line): the one backend dispatch."""
     if isinstance(order, QuadraticOrder):
@@ -156,9 +151,8 @@ def _describe(order):
                 f"field: {field} (discriminant {field.d})",
                 "order: maximal (conductor 1)" if order.is_maximal
                 else f"order: Z + {f}*O~ (conductor {f})")
-    cl = _group_str(order.class_group().invariant_factors)
     return ({"data": order.declared.description, "order": list(order.selection)},
-            f"field: declared data (class group {cl})",
+            f"field: declared data (class group {order.class_group().describe()})",
             "order: maximal (empty selection)" if order.is_maximal
             else f"order: selection {','.join(order.selection)}")
 
@@ -166,22 +160,21 @@ def _describe(order):
 def cmd_chow(args):
     order = _build_order(args)
     es = exact_sequence_data(order)
-    chow_inv = list(es.chow.invariant_factors)
-    image_inv = list(es.image_part.invariant_factors)
-    local_inv = list(es.local_invariants)
     doc = {
         "command": "chow",
         "field": _describe(order)[0],
-        "chow": chow_inv,
-        "image": image_inv,
-        "local": local_inv,
+        "chow": list(es.chow.invariant_factors),
+        "image": list(es.image_part.invariant_factors),
+        "local": list(es.local_invariants),
         "nonsplit": es.nonsplit,
         "consistent": es.consistent,
     }
+    local = " x ".join(local_chow(order, i).describe()
+                       for i, p in enumerate(order.primes) if p.g > 1)
     lines = [
-        f"Chow: {_group_str(chow_inv)}",
-        f"image: {_group_str(image_inv)}",
-        f"local: {_group_str(local_inv)}",
+        f"Chow: {es.chow.describe()}",
+        f"image: {es.image_part.describe()}",
+        f"local: {local or 'trivial'}",
         f"extension: {'non-split' if es.nonsplit else 'split'}",
     ]
     _emit(args, doc, lines)
@@ -221,19 +214,18 @@ def cmd_principal(args):
 
 def cmd_order_info(args):
     order = _build_order(args)
-    pres = chow_group(order)
-    chow_inv = list(pres.invariant_factors)
+    chow = chow_group(order).result
     context, field_line, order_line = _describe(order)
     doc = {
         "command": "order-info",
         "field": context,
         "maximal": order.is_maximal,
         "primes": [],
-        "chow": chow_inv,
+        "chow": list(chow.invariant_factors),
     }
     lines = [field_line, order_line]
     if order.is_maximal:
-        lines.append(f"Chow = Cl: {_group_str(chow_inv)}")
+        lines.append(f"Chow = Cl: {chow.describe()}")
         doc["conductor_ideal"] = True
         _emit(args, doc, lines)
         return EXIT_OK
@@ -242,10 +234,10 @@ def cmd_order_info(args):
     for i, prime in enumerate(order.primes):
         places = ", ".join(
             f"{pl.label} (d={pl.degree}, e={pl.e})" for pl in prime.places)
-        lc = [prime.g] if prime.g > 1 else []   # the local Chow group Z/g_i
+        lc = local_chow(order, i)
         lines.append(
             f"  {prime.label}: residue F_{prime.residue_size}; places {places}; "
-            f"g = {prime.g}; local Chow: {_group_str(lc)}")
+            f"g = {prime.g}; local Chow: {lc.describe()}")
         doc["primes"].append({
             "label": prime.label,
             "p": prime.p,
@@ -255,7 +247,7 @@ def cmd_order_info(args):
                 for pl in prime.places
             ],
             "g": prime.g,
-            "local_chow": list(lc),
+            "local_chow": list(lc.invariant_factors),
         })
 
     ok, viol = order_conductor_test(order)
@@ -297,7 +289,7 @@ def cmd_order_info(args):
     doc["pic_chow"] = {"surjective": pc.surjective, "injective": pc.injective}
     inj = "unknown" if pc.injective is None else yn(pc.injective)
     lines.append(f"Pic -> Chow: surjective {yn(pc.surjective)}; injective {inj}")
-    lines.append(f"Chow: {_group_str(chow_inv)}")
+    lines.append(f"Chow: {chow.describe()}")
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -316,18 +308,10 @@ def cmd_find_trivial(args):
                "prime_budget": budget}
         _emit(args, doc, [f"none found within prime budget {budget}"])
         return EXIT_NEGATIVE
-    pres = chow_group(order_from_conductor(field, f))
-    doc = {
-        "command": "find-trivial",
-        "disc": field.d,
-        "found": True,
-        "conductor": f,
-        "chow": list(pres.invariant_factors),
-    }
-    lines = [
-        f"conductor: {f}",
-        f"Chow(Z + {f}*O~): {_group_str(pres.invariant_factors)} (verified)",
-    ]
+    # the search returns only a conductor whose Chow group it verified trivial
+    doc = {"command": "find-trivial", "disc": field.d, "found": True,
+           "conductor": f, "chow": []}
+    lines = [f"conductor: {f}", f"Chow(Z + {f}*O~): trivial (verified)"]
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -351,13 +335,11 @@ def cmd_conductor_test(args):
     return EXIT_NEGATIVE
 
 
-def _add_field_flags(sub, conductor=True, data=True):
+def _add_field_flags(sub):
     sub.add_argument("--disc", type=int, help="fundamental discriminant")
-    if conductor:
-        sub.add_argument("--conductor", type=int, help="conductor f of Z + f*O~")
-    if data:
-        sub.add_argument("--data", help="declared data file")
-        sub.add_argument("--order", help="comma-separated conductor-prime labels, or all/none")
+    sub.add_argument("--conductor", type=int, help="conductor f of Z + f*O~")
+    sub.add_argument("--data", help="declared data file")
+    sub.add_argument("--order", help="comma-separated conductor-prime labels, or all/none")
 
 
 def build_parser():

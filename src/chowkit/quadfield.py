@@ -13,14 +13,16 @@ Fixed conventions used throughout:
     smaller representative in [0, p), which keeps conjugate places stable
     across runs.
 
-Class groups are spanned by the prime ideals below the Minkowski bound,
-computed entirely on their binary quadratic forms: every product is a
-Dirichlet composition of two reduced forms (Cohen, GTM 138, Alg. 5.4.7),
-reduced again, so intermediates keep O(log |d|) bits.  Reduced forms are
-canonical class keys in the imaginary case; in the real case the key is the
-least form of the reduction cycle (the narrow class), and each cycle is
-walked once per build.  Real class groups are then taken modulo the class
-of sqrt(d)*Z[w], which removes the narrow/wide distinction.  Generator
+Class groups are spanned by the prime ideals below the Minkowski bound
+(``class_prime_bound``), computed entirely on their binary quadratic forms:
+every product is a Dirichlet composition of two reduced forms (Cohen, GTM
+138, Alg. 5.4.7), reduced again, so intermediates keep O(log |d|) bits.
+Reduced forms are canonical class keys in the imaginary case; in the real
+case the key is the least form of the reduction cycle (the narrow class),
+and each cycle is walked once per build.  Real class groups are then taken modulo the class
+of sqrt(d)*Z[w], which removes the narrow/wide distinction; both quotients'
+transforms are composed once, so every class group is presented on the
+span's generators and ``dlog`` maps a class in one step.  Generator
 representatives are primitive ideals of reduced forms.
 
 The same composition, unreduced, is the ideal product: the primitive parts
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .abgroup import quotient
+from .abgroup import AbelianGroup, quotient
 from .errors import FieldInputError, SearchBoundExceeded
 from .ntheory import (
     egcd,
@@ -254,11 +256,7 @@ class PrimePlace:
     degree: int
     e: int
     b: int
-    unique: bool
-
-    @property
-    def label(self):
-        return f"{self.p}" if self.unique else f"{self.p}.{self.branch}"
+    label: str  # 'p' when p has one place, else 'p.branch'
 
     def ideal(self):
         """The place as a QIdeal: p*Z[w] when inert, else p*Z + (b + w)*Z."""
@@ -285,23 +283,23 @@ def _splitting(field: QuadField, p: int):
         if d % 2:
             if d % 8 == 1:
                 return (
-                    PrimePlace(field, 2, "split", 0, 1, 1, 0, False),
-                    PrimePlace(field, 2, "split", 1, 1, 1, 1, False),
+                    PrimePlace(field, 2, "split", 0, 1, 1, 0, "2.0"),
+                    PrimePlace(field, 2, "split", 1, 1, 1, 1, "2.1"),
                 )
-            return (PrimePlace(field, 2, "inert", 0, 2, 1, 0, True),)
+            return (PrimePlace(field, 2, "inert", 0, 2, 1, 0, "2"),)
         b = 0 if (d // 4) % 2 == 0 else 1
-        return (PrimePlace(field, 2, "ramified", 0, 1, 2, b, True),)
+        return (PrimePlace(field, 2, "ramified", 0, 1, 2, b, "2"),)
     if d % p == 0:
-        return (PrimePlace(field, p, "ramified", 0, 1, 2, 0, True),)
+        return (PrimePlace(field, p, "ramified", 0, 1, 2, 0, str(p)),)
     if legendre(d, p) == -1:
-        return (PrimePlace(field, p, "inert", 0, 2, 1, 0, True),)
+        return (PrimePlace(field, p, "inert", 0, 2, 1, 0, str(p)),)
     r = sqrt_mod(d, p)
     inv2 = pow(2, -1, p)
     roots = ((d + r) * inv2 % p, (d - r) * inv2 % p)
     bs = sorted((-beta) % p for beta in roots)
     return (
-        PrimePlace(field, p, "split", 0, 1, 1, bs[0], False),
-        PrimePlace(field, p, "split", 1, 1, 1, bs[1], False),
+        PrimePlace(field, p, "split", 0, 1, 1, bs[0], f"{p}.0"),
+        PrimePlace(field, p, "split", 1, 1, 1, bs[1], f"{p}.1"),
     )
 
 
@@ -636,15 +634,18 @@ def reduced_form_count(d: int) -> int:
 
 
 class ClassGroupData:
-    """Ideal class group with per-generator ideal representatives."""
+    """Ideal class group with per-generator ideal representatives.
 
-    def __init__(self, field, group, representatives, narrow, table, wide):
+    ``group`` is presented on the span's generators, the reduced forms that
+    ``table`` gives each class key its coordinates over.
+    """
+
+    def __init__(self, field, group, representatives, narrow, table):
         self.field = field
         self.group = group
         self.representatives = representatives
         self._narrow = narrow
         self._table = table
-        self._wide = wide
 
     @property
     def invariant_factors(self):
@@ -654,15 +655,13 @@ class ClassGroupData:
         return self.group.cardinality()
 
     def dlog(self, ideal: QIdeal):
-        """Class of a fractional ideal as a GroupElement of self.group."""
+        """Class of a fractional ideal as a GroupElement of self.group: the
+        span coordinates of its class key, mapped once by ``member``."""
         if ideal.field.d != self.field.d:
             raise TypeError("ideal of a different field")
         d = self.field.d
         key = _class_key(d, isqrt(d) if d > 0 else 0, ideal.form())
-        elt = self._narrow.member(self._table[key])
-        if self._wide is None:
-            return elt
-        return self.group.member(elt.coords)
+        return self.group.member(self._table[key])
 
 
 def _span_classes(d, sd, candidates, memo):
@@ -713,31 +712,34 @@ def _span_classes(d, sd, candidates, memo):
     return table, gens, rows
 
 
-def check_class_disc(d: int, max_disc: int = MAX_CLASS_DISC):
-    """Refuse |d| > max_disc, the largest class group built.
+def check_class_disc(d: int):
+    """Refuse |d| > MAX_CLASS_DISC, the largest class group built.
 
     Cheap, so callers check it before ``make_field`` factors d.
     """
-    if abs(d) > max_disc:
-        raise FieldInputError(f"|discriminant| {abs(d)} exceeds the bound {max_disc}")
+    if abs(d) > MAX_CLASS_DISC:
+        raise FieldInputError(f"|discriminant| {abs(d)} exceeds the bound {MAX_CLASS_DISC}")
 
 
-def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupData:
+def class_prime_bound(d: int) -> int:
+    """Bound on the primes whose classes span the class group: at least the
+    Minkowski bound (2/pi)*sqrt(|d|) for d < 0, and sqrt(d)/2 for d > 0."""
+    if d < 0:
+        return isqrt(4 * (-d) // 9) + 1
+    return isqrt(d) // 2 + 1
+
+
+def class_group(field: QuadField) -> ClassGroupData:
     """Class group of the maximal order, memoized per field."""
     d = field.d
-    check_class_disc(d, max_disc)
+    check_class_disc(d)
     cached = _CLASS_CACHE.get(d)
     if cached is not None:
         return cached
 
-    if d < 0:
-        bound = isqrt(4 * (-d) // 9) + 1  # >= Minkowski (2/pi)*sqrt(|d|)
-        sd = 0
-    else:
-        bound = isqrt(d) // 2 + 1
-        sd = isqrt(d)
+    sd = isqrt(d) if d > 0 else 0
     candidates = []
-    for p in primes_below(bound + 1):
+    for p in primes_below(class_prime_bound(d) + 1):
         places = _splitting(field, p)
         if places[0].kind == "inert":
             continue
@@ -750,9 +752,7 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
     table, gens, rows = _span_classes(d, sd, candidates, memo)
     narrow = quotient(len(gens), rows)
 
-    wide = None
     group = narrow
-    lift_total = narrow.generator_lifts
     if d > 0:
         # narrow modulo the class t of sqrt(d)*Z[w], by one quotient of the
         # moduli rows and t's row as they stand.  These rows set the class
@@ -764,19 +764,22 @@ def class_group(field: QuadField, max_disc: int = MAX_CLASS_DISC) -> ClassGroupD
         moduli = [[m if i == j else 0 for i in range(k)]
                   for j, m in enumerate(narrow.invariant_factors)]
         wide = quotient(k, moduli + [list(t)])
-        group = wide
-        lift_total = wide.generator_lifts @ narrow.generator_lifts
+        group = AbelianGroup(
+            wide.invariant_factors,
+            basis_change=narrow.basis_change @ wide.basis_change,
+            generator_lifts=wide.generator_lifts @ narrow.generator_lifts,
+        )
 
     reps = []
     for j in range(group.rank):
         acc = _unit_form(d, sd)
-        for gen, e in zip(gens, lift_total.row(j)):
+        for gen, e in zip(gens, group.generator_lifts.row(j)):
             if e:
                 acc = _reduced(d, sd, _compose(acc, _form_pow(d, sd, gen, e), d))
         a, b, _ = acc
         reps.append(QIdeal(field, a, (b - d) // 2))
 
-    data = ClassGroupData(field, group, tuple(reps), narrow, table, wide)
+    data = ClassGroupData(field, group, tuple(reps), narrow, table)
     _CLASS_CACHE[d] = data
     return data
 

@@ -79,17 +79,17 @@ def test_criterion_3_quintic_neither_nor():
     o2 = declared_order(decl, ["p2"])
     op = declared_order(decl, ["p1", "p2"])
     o7 = declared_order(decl, ["p7"])
-    assert chow_group(o1).invariant_factors == (2,)
-    assert chow_group(o2).invariant_factors == (3,)
-    assert chow_group(op).invariant_factors == (6,)
-    assert chow_group(o7).invariant_factors == ()
+    assert chow_group(o1).result.invariant_factors == (2,)
+    assert chow_group(o2).result.invariant_factors == (3,)
+    assert chow_group(op).result.invariant_factors == (6,)
+    assert chow_group(o7).result.invariant_factors == ()
     # induced-map data: Chow(O~) -> Chow(O') has cokernel of order
     # prod(g_i) = 6 (not surjective); any homomorphism
     # Chow(O') -> Chow(Z + 7*O~) kills a 6-element group (not injective)
     es = exact_sequence_data(op)
     coker = prod(es.local_orders)
     assert coker == 6 and coker > 1
-    assert chow_group(op).cardinality() > chow_group(o7).cardinality()
+    assert chow_group(op).result.cardinality() > chow_group(o7).result.cardinality()
     _report("3", "Chow = Z/2, Z/3, Z/6, trivial; cokernel 6, kernel forced nontrivial")
 
 
@@ -108,7 +108,7 @@ def test_criterion_4_example_inj():
     assert pic.pic_cardinality == 1
     pc = pic_chow_report(O)
     assert pc.injective is True and pc.surjective is True
-    assert chow_group(O).invariant_factors == ()
+    assert chow_group(O).result.invariant_factors == ()
     _report("4", "fix conditions hold, |Pic| = 1, Pic -> Chow bijective, Chow trivial")
 
 
@@ -128,7 +128,7 @@ def test_criterion_5_even_class_number_obstruction():
     assert sweep, "sweep must not be empty"
     for d, f in sweep:
         O = order_from_conductor(make_field(d), f)
-        assert chow_group(O).invariant_factors != (), (d, f)
+        assert chow_group(O).result.invariant_factors != (), (d, f)
     _report("5", f"{len(sweep)} orders with even class number, all Chow groups nontrivial")
 
 
@@ -137,7 +137,7 @@ def test_criterion_6_constructive_trivial_chow():
     f = find_trivial_chow_conductor(F, 100)
     assert f is not None
     pres = chow_group(order_from_conductor(F, f))
-    assert pres.invariant_factors == ()
+    assert pres.result.invariant_factors == ()
     _report("6", f"d = -23: conductor {f} gives a verified trivial Chow group")
 
 
@@ -249,9 +249,9 @@ def test_criterion_7f_lambda_choice_independence():
     cases = [(-23, 2), (-20, 6), (-84, 30), (-7, 10), (-120, 6), (40, 6), (-47, 2)]
     for d, f in cases:
         O = order_from_conductor(make_field(d), f)
-        base = chow_group(O).invariant_factors
+        base = chow_group(O).result.invariant_factors
         permuted = transcribe_to_declared(O, reverse_places=True)
-        assert chow_group(permuted).invariant_factors == base, (d, f)
+        assert chow_group(permuted).result.invariant_factors == base, (d, f)
     _report("7f", f"{len(cases)} orders, places permuted")
 
 
@@ -265,7 +265,7 @@ def test_criterion_7g_declared_matches_automatic():
     for d, f in cases:
         O = order_from_conductor(make_field(d), f)
         T = transcribe_to_declared(O)
-        assert chow_group(T).invariant_factors == chow_group(O).invariant_factors, (d, f)
+        assert chow_group(T).result.invariant_factors == chow_group(O).result.invariant_factors, (d, f)
     _report("7g", "20 transcribed quadratic orders")
 
 

@@ -2,14 +2,15 @@
 as order-info prints them, and the public namespace."""
 
 import importlib
+import inspect
 import json
 import random
 
 import pytest
 
 import chowkit
-from chowkit.chow import pic_cardinality
-from chowkit.cli import main
+from chowkit.chow import chow_group, pic_cardinality
+from chowkit.cli import _add_field_flags, main
 from chowkit.declared import declared_order, load_declared
 from chowkit.errors import BackendError
 from chowkit.ntheory import factorize
@@ -20,8 +21,9 @@ from chowkit.orders import (
     div_over_order,
     divisor_kernel_witness,
     divisor_to_ideal,
+    order_from_conductor,
 )
-from chowkit.quadfield import QElement, make_field, splitting
+from chowkit.quadfield import QElement, check_class_disc, class_group, make_field, splitting
 from util import fundamental_discriminants
 
 BIQUAD = "data/biquad.decl"
@@ -142,6 +144,40 @@ _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_cho
 @pytest.mark.parametrize("name", _REMOVED_NAMES)
 def test_removed_names_stay_removed(name, module):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def _owner(kind):
+    """A live object of each kind that lost attributes."""
+    if kind == "ChowPresentation":
+        return chow_group(order_from_conductor(make_field(-23), 2))
+    if kind == "ClassGroupData":
+        return class_group(make_field(40))  # a real field, with a wide quotient
+    if kind == "PrimePlace":
+        return splitting(make_field(-7), 3)[0]
+    return importlib.import_module("chowkit.cli")
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("ChowPresentation", "generator_labels"),
+    ("ChowPresentation", "n_generators"),
+    ("ChowPresentation", "invariant_factors"),
+    ("ChowPresentation", "cardinality"),
+    ("ClassGroupData", "_wide"),
+    ("PrimePlace", "unique"),
+    ("cli", "_group_str"),
+])
+def test_removed_attributes_stay_removed(kind, name):
+    assert not hasattr(_owner(kind), name)
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (_add_field_flags, "conductor"),
+    (_add_field_flags, "data"),
+    (class_group, "max_disc"),
+    (check_class_disc, "max_disc"),
+])
+def test_removed_parameters_stay_removed(function, parameter):
+    assert parameter not in inspect.signature(function).parameters
 
 
 def test_public_names_resolve():

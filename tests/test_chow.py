@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -28,7 +29,7 @@ from chowkit.orders import (
 )
 from chowkit.ntheory import primes_below
 from chowkit.quadfield import QElement, class_group, make_field, splitting
-from util import transcribe_to_declared
+from util import find_trivial_by_scan, fundamental_discriminants, transcribe_to_declared
 
 BIQUAD = "data/biquad.decl"
 QUINTIC = "data/quintic.decl"
@@ -37,7 +38,7 @@ QUINTIC = "data/quintic.decl"
 def test_chow_of_maximal_order_is_class_group():
     F = make_field(-23)
     pres = chow_group(order_from_conductor(F, 1))
-    assert pres.invariant_factors == (3,)
+    assert pres.result.invariant_factors == (3,)
     es = exact_sequence_data(order_from_conductor(F, 1))
     assert es.image_part.invariant_factors == (3,)
     assert es.local_orders == ()
@@ -47,7 +48,7 @@ def test_chow_biquad_example():
     decl = load_declared(BIQUAD)
     O = declared_order(decl, ["main"])
     pres = chow_group(O)
-    assert pres.invariant_factors == (4,)
+    assert pres.result.invariant_factors == (4,)
     es = exact_sequence_data(O)
     assert es.image_part.invariant_factors == (2,)
     assert es.local_orders == (2,)
@@ -65,13 +66,13 @@ def test_chow_quintic_orders():
     }
     for sel, inv in expected.items():
         O = declared_order(decl, sel)
-        assert chow_group(O).invariant_factors == inv, sel
+        assert chow_group(O).result.invariant_factors == inv, sel
 
 
 def test_chow_trivial_example():
     O = order_from_conductor(make_field(-7), 2)
-    assert chow_group(O).invariant_factors == ()
-    assert chow_group(order_from_conductor(make_field(-4), 3)).invariant_factors == (2,)
+    assert chow_group(O).result.invariant_factors == ()
+    assert chow_group(order_from_conductor(make_field(-4), 3)).result.invariant_factors == (2,)
 
 
 def test_projection_of_divisors():
@@ -147,7 +148,7 @@ def test_principal_divisor_test_kernel_correction():
     # non-principal ideal is corrected by a kernel ideal in step 6
     F = make_field(-23)
     O = order_from_conductor(F, 3)
-    assert chow_group(O).invariant_factors == ()
+    assert chow_group(O).result.invariant_factors == ()
     D = Divisor(LEVEL_ORDER, {"2.0": 1})
     res = principal_divisor_test(O, D)
     assert res.status == "principal"
@@ -310,16 +311,16 @@ def test_cardinality_identity_smoke():
 def test_lambda_choice_independence_smoke():
     for d, f in ((-23, 2), (-84, 6), (-20, 30)):
         O = order_from_conductor(make_field(d), f)
-        base = chow_group(O).invariant_factors
+        base = chow_group(O).result.invariant_factors
         permuted = transcribe_to_declared(O, reverse_places=True)
-        assert chow_group(permuted).invariant_factors == base, (d, f)
+        assert chow_group(permuted).result.invariant_factors == base, (d, f)
 
 
 def test_declared_matches_automatic_smoke():
     for d, f in ((-23, 2), (-7, 6), (-4, 15), (40, 6)):
         O = order_from_conductor(make_field(d), f)
         T = transcribe_to_declared(O)
-        assert chow_group(T).invariant_factors == chow_group(O).invariant_factors
+        assert chow_group(T).result.invariant_factors == chow_group(O).result.invariant_factors
 
 
 def test_find_trivial_examples():
@@ -329,12 +330,30 @@ def test_find_trivial_examples():
     assert find_trivial_chow_conductor(make_field(-20), 60) is None
 
 
+def test_find_trivial_matches_full_scan():
+    for d in fundamental_discriminants(3000):
+        F = make_field(d)
+        assert find_trivial_chow_conductor(F, 100) == find_trivial_by_scan(F, 100), d
+
+
+def test_find_trivial_memory_does_not_grow_with_budget():
+    F = make_field(-23)
+    class_group(F)
+    tracemalloc.start()
+    try:
+        assert find_trivial_chow_conductor(F, 10**7) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_even_class_number_smoke():
     for d in (-15, -20, -24):
         F = make_field(d)
         assert class_group(F).cardinality() % 2 == 0
         for f in range(1, 11):
-            assert chow_group(order_from_conductor(F, f)).invariant_factors != (), (d, f)
+            assert chow_group(order_from_conductor(F, f)).result.invariant_factors != (), (d, f)
 
 
 def test_nonsplit_flag_against_direct_sum():
@@ -376,7 +395,7 @@ def test_declared_120_primes_det_oracle():
         rows[j][r + j] = d
     square = IntMatrix(rows + pres.relations.tolists())
     assert moduli == (2, 6, 12)
-    assert pres.cardinality() == abs(square.det()) > 1
+    assert pres.result.cardinality() == abs(square.det()) > 1
     G = pres.result
     assert G.user_rank == r + len(moduli)
     for j in range(G.rank):

@@ -6,16 +6,21 @@ per place or per record on values that a file repeats, or a copy of the
 parsed records per order.  Ideal powers and divisor ideals: the exact
 number of products, none with the unit ideal.  A regression shows in the
 test suite before it shows in the benchmark.
+
+The Chow layer: ``relations`` is left unbuilt until read, ``find-trivial``
+builds the Chow group it found once, and its search maps each candidate by
+one ``member``, with no SNF solver, and maps nothing for an even |Cl|.
 """
 
+import json
 import random
 
 import pytest
 
-from chowkit import abgroup, chow, declared, orders
+from chowkit import abgroup, chow, cli, declared, orders
 from chowkit.abgroup import AbelianGroup
 from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
-from chowkit.quadfield import QIdeal, make_field, splitting
+from chowkit.quadfield import ClassGroupData, QIdeal, class_group, make_field, splitting
 from chowkit.orders import LEVEL_NORMALIZATION, Divisor, divisor_to_ideal, order_from_conductor
 from util import random_declared_field
 
@@ -115,6 +120,83 @@ def test_chow_group_maps_each_q_class_once(monkeypatch):
     distinct = {q.coords for q in q_classes}
     assert len(calls) == len(set(calls)) and set(calls) <= distinct
     assert len(distinct) < N_PRIMES
+
+
+def test_chow_group_leaves_relations_unbuilt():
+    """The unreduced rows (g_i p_i, -[Q_i]) are built on first read only,
+    and then equal those of the (r + k)-column G/R presentation."""
+    decl = _big_field(uniform=False)
+    order = declared_order(decl, decl.prime_labels)
+    pres = chow.chow_group(order)
+    assert "relations" not in vars(pres)
+    r = len(order.primes)
+    expected = []
+    for i, (prime, q) in enumerate(zip(order.primes, pres.q_classes)):
+        row = [0] * r + [-c for c in pres.cl_mod_n.member(q.coords).coords]
+        row[i] = prime.g
+        expected.append(row)
+    assert pres.relations.tolists() == expected
+    assert pres.relations.cols == r + pres.cl_mod_n.rank
+    assert "relations" in vars(pres)
+
+
+# odd class numbers 3, 5, 7 and 3 (a real field), then even ones 4, 2 and 2
+ODD_H = (-23, -47, -71, 229)
+EVEN_H = (-84, -20, 40)
+
+
+def test_find_trivial_builds_each_chow_group_once(monkeypatch, capsys):
+    """``cli.main(["find-trivial", ...])`` builds one Chow group per conductor
+    found, the search's own verification, and none when nothing is found."""
+    built = []
+    original = chow.chow_group
+
+    def counting(order):
+        built.append(order.conductor)
+        return original(order)
+
+    monkeypatch.setattr(chow, "chow_group", counting)
+    monkeypatch.setattr(cli, "chow_group", counting)
+    found = []
+    for d in ODD_H + EVEN_H:
+        del built[:]
+        code = cli.main(["find-trivial", "--disc", str(d), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (0 if doc["found"] else 1), d
+        assert built == ([doc["conductor"]] if doc["found"] else []), d
+        found.append(doc["found"])
+    assert found == [True] * len(ODD_H) + [False] * len(EVEN_H)
+
+
+def test_find_trivial_search_calls_no_snf_solver(monkeypatch):
+    """The search tests each candidate by one ``member`` in the Cl/N it
+    holds, with no ``solve_combination``, and maps no class when |Cl| is
+    even, since then no conductor can work."""
+    solves = []
+    dlogs = []
+    original_solve = abgroup.solve_combination
+    original_dlog = ClassGroupData.dlog
+
+    def counting_solve(G, elements, target):
+        solves.append(len(elements))
+        return original_solve(G, elements, target)
+
+    def counting_dlog(self, ideal):
+        dlogs.append(self.field.d)
+        return original_dlog(self, ideal)
+
+    monkeypatch.setattr(abgroup, "solve_combination", counting_solve)
+    monkeypatch.setattr(chow, "solve_combination", counting_solve)
+    monkeypatch.setattr(ClassGroupData, "dlog", counting_dlog)
+    for d in ODD_H:
+        assert chow.find_trivial_chow_conductor(make_field(d), 100) is not None, d
+    assert solves == [] and dlogs
+    for d in EVEN_H:
+        assert class_group(make_field(d)).cardinality() % 2 == 0, d
+        del dlogs[:]
+        assert chow.find_trivial_chow_conductor(make_field(d), 100) is None, d
+        assert dlogs == [], d
+    assert solves == []
 
 
 def test_parse_declared_tests_each_p_once(monkeypatch):

@@ -75,7 +75,7 @@ def _spellings(place):
     the bare p when it is the only place over p."""
     p, b = place.p, place.branch
     out = [f"{p}.{b}", f"+{p}.{b}", f"0{p}.{b}", f"{p}.0{b}"]
-    if place.unique:
+    if "." not in place.label:
         out += [f"{p}", f"+{p}", f"0{p}"]
     return out
 

@@ -398,7 +398,7 @@ def test_class_group_bound():
     from chowkit.quadfield import class_group as cg
 
     with pytest.raises(FieldInputError):
-        cg(make_field(-1000003), max_disc=10**6)
+        cg(make_field(-1000003))
 
 
 def test_element_divisor_support():

@@ -1,14 +1,20 @@
 """Shared helpers for the test suite: disc enumeration, oracles, transcription."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from chowkit import FieldInputError, make_field
-from chowkit.abgroup import quotient
+from chowkit.abgroup import quotient, solve_combination, subgroup_quotient
+from chowkit.chow import chow_group
 from chowkit.declared import DeclaredField, DeclaredPlace, declared_order
-from chowkit.orders import DeclaredOrder, NonInvertiblePrime, QuadraticOrder
-from chowkit.ntheory import egcd
-from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit
+from chowkit.orders import (
+    DeclaredOrder,
+    NonInvertiblePrime,
+    QuadraticOrder,
+    order_from_conductor,
+)
+from chowkit.ntheory import egcd, primes_below
+from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit, splitting
 
 
 def fundamental_discriminants(bound, sign=None):
@@ -328,3 +334,30 @@ def chow_by_full_presentation(order):
             row[r + j] = -c
         rows.append(row)
     return quotient(r + k, rows)
+
+
+def find_trivial_by_scan(field, prime_budget):
+    """Conductor f with Chow(Z + f*O~) trivial by scanning every prime up to
+    the budget, whatever |Cl|: a split prime is kept when 2[P] is outside
+    the span of the kept classes (``solve_combination``), until they span
+    Cl.  The reference for ``chow.find_trivial_chow_conductor``."""
+    cg = class_group(field)
+    cl = cg.group
+    if cl.is_trivial():
+        return 1
+    n_sub = []
+    chosen = []
+    for p in primes_below(prime_budget + 1):
+        place = splitting(field, p)[0]
+        if place.kind != "split":
+            continue
+        contrib = 2 * cg.dlog(place.ideal())
+        if contrib.is_identity() or solve_combination(cl, n_sub, contrib) is not None:
+            continue
+        n_sub.append(contrib)
+        chosen.append(p)
+        if subgroup_quotient(cl, n_sub).is_trivial():
+            f = prod(chosen)
+            assert chow_group(order_from_conductor(field, f)).result.is_trivial()
+            return f
+    return None
