@@ -20,7 +20,8 @@ g_i > 1 and the generators of Cl/N; the unreduced R is built only when
 read.  The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
-check against the kernel subgroup, and finally a principal-ideal generator.
+check against the kernel subgroup, and finally a principal-ideal generator
+of the corrected lift, multiplied out from the order's own places.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
 an odd |Cl| admits one, and then the primes below the class group's own
 prime bound suffice.
@@ -45,14 +46,13 @@ from .abgroup import (
 from .errors import BackendError
 from .ntheory import factorize, primes_below
 from .orders import (
-    LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
     OrderData,
-    divisor_to_ideal,
-    kernel_generators,
+    bezout_vectors,
     order_from_conductor,
-    q_divisor,
+    place_product,
+    resolve_place,
 )
 from .quadfield import (
     QuadField,
@@ -99,16 +99,12 @@ class ChowPresentation:
             raise ValueError("expected a divisor over the order")
         order = self.order
         cl = order.class_group()
-        avec = []
-        seen = set()
-        for prime in order.primes:
-            avec.append(D.coefficient(prime.label))
-            seen.add(prime.label)
+        avec = [D.coefficient(prime.label) for prime in order.primes]
+        seen = {prime.label for prime in order.primes}
         s = cl.identity()
         for label, coeff in D.support.items():
-            if label in seen:
-                continue
-            s = s + coeff * order.invertible_place_class(label)
+            if label not in seen:
+                s = s + coeff * order.place_class(resolve_place(order.field, label))
         sbar = self.cl_mod_n.member(s.coords)
         return self.result.member(avec + list(sbar.coords))
 
@@ -223,8 +219,9 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     kernel ideal, its coefficients taken as balanced residues modulo the
     orders of their classes, and recover a generator of the corrected lift
     by reduction (``is_principal``), within ``max_steps`` reduction and
-    cycle steps when given.  Declared orders, which have no ideal
-    arithmetic, stop after step (5).
+    cycle steps when given.  Step (6) multiplies out (``place_product``)
+    exponent vectors over the places of each prime (``bezout_vectors``) and
+    the places resolved in step (2).  Declared orders stop after step (5).
     """
     if D.level != LEVEL_ORDER:
         raise ValueError("expected a divisor over the order")
@@ -248,8 +245,9 @@ def principal_divisor_test(order: OrderData, D: Divisor,
         a_i = D.coefficient(prime.label)
         if a_i:
             cls_a = cls_a + (a_i // prime.g) * q
-    for label, coeff in invertible.items():
-        cls_a = cls_a + coeff * order.invertible_place_class(label)
+    places = [resolve_place(order.field, label) for label in invertible]
+    for place, coeff in zip(places, invertible.values()):
+        cls_a = cls_a + coeff * order.place_class(place)
 
     # step 5: does some kernel ideal cancel the class of the lift?
     x = solve_combination(cl, n_gens, -cls_a)
@@ -265,18 +263,25 @@ def principal_divisor_test(order: OrderData, D: Divisor,
                                detail="declared backend stops after the class test")
 
     # step 6: the lift A = sum (a_i/g_i) Q_i + invertible part, corrected by
-    # the kernel divisor B = sum x_k * gen_k, as one ideal; extract a generator.
-    # x_k matters only modulo the order m_k of the class of gen_k (m_k * gen_k
-    # is principal and pushes forward to 0): its balanced residue keeps the
+    # the kernel divisor B = sum x_k * gen_k, as one exponent vector.  x_k
+    # matters only modulo the order m_k of the class of gen_k (m_k * gen_k is
+    # principal and pushes forward to 0): its balanced residue keeps the
     # ideal small.
-    div = Divisor(LEVEL_NORMALIZATION, invertible)
+    exponents = list(invertible.values())
+    coeffs = zip(x, n_gens)
     for prime in order.primes:
-        div = div + (D.coefficient(prime.label) // prime.g) * q_divisor(prime)
-    for coeff, gen_div, c in zip(x, kernel_generators(order), n_gens):
-        m = element_order(cl, c)
-        coeff %= m
-        div = div + (coeff - m if 2 * coeff > m else coeff) * gen_div
-    alpha = is_principal(field, divisor_to_ideal(order, div), max_steps=max_steps)
+        q, gens = bezout_vectors(prime)
+        a = D.coefficient(prime.label) // prime.g
+        vec = [a * lam for lam in q]
+        for gen, (coeff, c) in zip(gens, coeffs):
+            m = element_order(cl, c)
+            coeff %= m
+            coeff = coeff - m if 2 * coeff > m else coeff
+            vec = [v + coeff * k for v, k in zip(vec, gen)]
+        places += prime.places
+        exponents += vec
+    alpha = is_principal(field, place_product(field, places, exponents),
+                         max_steps=max_steps)
     if alpha is None:
         raise RuntimeError("trivial ideal class without a generator; this is a bug")
     return PrincipalResult("principal", generator=alpha)

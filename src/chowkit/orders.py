@@ -20,9 +20,11 @@ Both answer ``class_group()``, ``place_class``, ``place_label``,
 builds the cached ``fabric`` (class group, [Q_i], N generators) from them;
 that is all the Chow group and the class test of a principal divisor need.
 Ideal, element and unit arithmetic needs ``order.field``, which only a
-quadratic order has: on a declared order it raises ``BackendError``, as
-does ``invertible_place_class`` (the data carries no classes outside the
-conductor).
+quadratic order has: on a declared order it raises ``BackendError``.
+
+``bezout_vectors(prime)`` spells Q_i and the kernel generators as exponent
+vectors over ``prime.places``; ``place_product`` turns such a vector into
+the ideal prod(place.ideal() ** k), with no label parsed again.
 
 Divisors live on two levels.  Over the normalization they are supported on
 places (labels like ``2.0``, ``3`` or declared labels like ``P1``); over the
@@ -83,12 +85,6 @@ class Divisor:
         for label, c in other.support.items():
             out[label] = out.get(label, 0) + c
         return Divisor(self.level, out)
-
-    def __neg__(self):
-        return Divisor(self.level, {l: -c for l, c in self.support.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __rmul__(self, n):
         return Divisor(self.level, {l: int(n) * c for l, c in self.support.items()})
@@ -200,10 +196,6 @@ class QuadraticOrder(OrderData):
         """Ideal class of a place of the normalization."""
         return class_group(self.field).dlog(place.ideal())
 
-    def invertible_place_class(self, label) -> GroupElement:
-        """Ideal class of the place above an invertible prime of the order."""
-        return class_group(self.field).dlog(resolve_place(self.field, label).ideal())
-
     def place_label(self, token):
         """Canonical label of the place of the normalization named by token."""
         return resolve_place(self.field, token).label
@@ -249,10 +241,6 @@ class DeclaredOrder(OrderData):
         if cls is None:
             cls = self._classes[image] = self._class_group.element(image)
         return cls
-
-    def invertible_place_class(self, label) -> GroupElement:
-        raise BackendError(
-            "declared data carries no class images outside the conductor")
 
     def place_label(self, token):
         """The token itself when it names a place of a selected record;
@@ -339,39 +327,45 @@ def div_over_order(order: OrderData, a: QElement) -> Divisor:
     return pushforward(order, over_max)
 
 
-def kernel_generators(order: OrderData):
-    """Generators of ker(pushforward), one divisor per (prime, place) pair.
+def bezout_vectors(prime: NonInvertiblePrime):
+    """Q_i and the kernel generators as exponent vectors over ``prime.places``.
 
-    For places above the i-th prime the generator is
-    (d_{i,j}/g_i) * Q_i - P_{i,j} with Q_i = sum(lambda_{i,k} * P_{i,k});
-    each pushes forward to zero.
+    Q_i = sum_j lambda_{i,j} P_{i,j}; the generator of P_{i,j} is
+    (d_{i,j}/g_i) * Q_i - P_{i,j}, which pushes forward to zero.  At the
+    split prime 2 of Q(sqrt(-7)):
+
+    >>> from chowkit.quadfield import make_field
+    >>> (prime,) = order_from_conductor(make_field(-7), 2).primes
+    >>> bezout_vectors(prime)
+    ((1, 0), [[0, 0], [1, -1]])
     """
-    out = []
-    for prime in order.primes:
-        q_div = q_divisor(prime)
-        for pl in prime.places:
-            gen = (pl.degree // prime.g) * q_div - Divisor(
-                LEVEL_NORMALIZATION, {pl.label: 1})
-            out.append(gen)
-    return out
+    q = prime.lambdas
+    gens = []
+    for j, pl in enumerate(prime.places):
+        m = pl.degree // prime.g
+        gen = [m * lam for lam in q]
+        gen[j] -= 1
+        gens.append(gen)
+    return q, gens
 
 
-def q_divisor(prime: NonInvertiblePrime) -> Divisor:
-    """Q_i = sum(lambda_{i,j} * P_{i,j}) over the normalization."""
-    return Divisor(LEVEL_NORMALIZATION, {
-        pl.label: lam for pl, lam in zip(prime.places, prime.lambdas)})
-
-
-def divisor_to_ideal(order: OrderData, D: Divisor) -> QIdeal:
-    """Product of place ideals given a divisor over the normalization."""
-    field = order.field
-    if D.level != LEVEL_NORMALIZATION:
-        raise ValueError("expected a divisor over the normalization")
+def place_product(field: QuadField, places, exponents) -> QIdeal:
+    """prod(place.ideal() ** k) over paired places and exponents; a zero
+    exponent is skipped, and the empty product is the unit ideal."""
     acc = None
-    for label in sorted(D.support):
-        term = resolve_place(field, label).ideal() ** D.support[label]
-        acc = term if acc is None else acc * term
+    for place, k in zip(places, exponents):
+        if k:
+            term = place.ideal() ** k
+            acc = term if acc is None else acc * term
     return QIdeal.unit_ideal(field) if acc is None else acc
+
+
+def kernel_generators(order: OrderData):
+    """Generators of ker(pushforward), one divisor per (prime, place) pair:
+    the vectors of ``bezout_vectors`` over the normalization."""
+    return [Divisor(LEVEL_NORMALIZATION, {
+                pl.label: k for pl, k in zip(prime.places, gen)})
+            for prime in order.primes for gen in bezout_vectors(prime)[1]]
 
 
 def _violator(places, k):
@@ -465,15 +459,13 @@ class FixReport:
     all_r_geq_2: bool
     equivalent_conditions_hold: bool
     residue_unit_order: int = None       # |(O~/F)^*|, None when unknown
-    residue_units_trivial: bool = None
 
 
 def prop_fix_report(order: OrderData) -> FixReport:
     """Report on the equivalent conditions for O^* = O~^* and Pic = Cl."""
     n = order.residue_unit_order()
-    trivial = None if n is None else n == 1
     if order.is_maximal:
-        return FixReport(True, True, True, True, True, n, trivial)
+        return FixReport(True, True, True, True, True, n)
     squarefree = True
     residue_f2 = True
     r_geq_2 = True
@@ -488,7 +480,7 @@ def prop_fix_report(order: OrderData) -> FixReport:
             if not (prime.residue_size == 2 and pl.degree == 1):
                 residue_f2 = False
     hold = squarefree and residue_f2 and r_geq_2
-    return FixReport(False, squarefree, residue_f2, r_geq_2, hold, n, trivial)
+    return FixReport(False, squarefree, residue_f2, r_geq_2, hold, n)
 
 
 def divisor_kernel_witness(order: OrderData, bound: int = 3):
@@ -524,9 +516,11 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
             return eps
 
     cl, _, n_gens = order.fabric
-    pairs = [(element_order(cl, c), g)
-             for g, c in zip(kernel_generators(order), n_gens) if not g.is_zero()]
+    gens = [(prime.places, gen) for prime in order.primes
+            for gen in bezout_vectors(prime)[1]]
+    pairs = [(element_order(cl, c), places, gen)
+             for (places, gen), c in zip(gens, n_gens) if any(gen)]
     if not pairs:
         return None
-    m, g = min(pairs, key=lambda pair: pair[0])
-    return is_principal(field, divisor_to_ideal(order, m * g))
+    m, places, gen = min(pairs, key=lambda pair: pair[0])
+    return is_principal(field, place_product(field, places, [m * k for k in gen]))

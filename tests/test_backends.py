@@ -15,13 +15,14 @@ from chowkit.declared import declared_order, load_declared
 from chowkit.errors import BackendError
 from chowkit.ntheory import factorize
 from chowkit.orders import (
-    LEVEL_NORMALIZATION,
+    LEVEL_ORDER,
     Divisor,
     conductor_test,
     div_over_order,
     divisor_kernel_witness,
-    divisor_to_ideal,
     order_from_conductor,
+    prop_fix_report,
+    resolve_place,
 )
 from chowkit.quadfield import QElement, check_class_disc, class_group, make_field, splitting
 from util import fundamental_discriminants
@@ -31,11 +32,9 @@ BIQUAD = "data/biquad.decl"
 
 _DECLARED_REFUSES = {
     "div_over_order": lambda o: div_over_order(o, QElement(make_field(-7), 1, 1, 1)),
-    "divisor_to_ideal": lambda o: divisor_to_ideal(
-        o, Divisor(LEVEL_NORMALIZATION, {"P": 1})),
     "divisor_kernel_witness": divisor_kernel_witness,
     "pic_cardinality": pic_cardinality,
-    "invertible_place_class": lambda o: o.invertible_place_class("P"),
+    "resolve_place": lambda o: resolve_place(o.field, "P"),
 }
 
 
@@ -136,7 +135,8 @@ def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
 
 
 _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_chow_at",
-                  "UnsupportedOrderError")
+                  "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
+                  "invertible_place_class", "residue_units_trivial")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
@@ -154,6 +154,14 @@ def _owner(kind):
         return class_group(make_field(40))  # a real field, with a wide quotient
     if kind == "PrimePlace":
         return splitting(make_field(-7), 3)[0]
+    if kind == "QuadraticOrder":
+        return order_from_conductor(make_field(-7), 2)
+    if kind == "DeclaredOrder":
+        return declared_order(load_declared(BIQUAD), ["main"])
+    if kind == "FixReport":
+        return prop_fix_report(order_from_conductor(make_field(-7), 2))
+    if kind == "Divisor":
+        return Divisor(LEVEL_ORDER, {"2": 1})
     return importlib.import_module("chowkit.cli")
 
 
@@ -165,6 +173,11 @@ def _owner(kind):
     ("ClassGroupData", "_wide"),
     ("PrimePlace", "unique"),
     ("cli", "_group_str"),
+    ("QuadraticOrder", "invertible_place_class"),
+    ("DeclaredOrder", "invertible_place_class"),
+    ("FixReport", "residue_units_trivial"),
+    ("Divisor", "__neg__"),
+    ("Divisor", "__sub__"),
 ])
 def test_removed_attributes_stay_removed(kind, name):
     assert not hasattr(_owner(kind), name)

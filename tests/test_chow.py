@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from chowkit import chow
 from chowkit.abgroup import IntMatrix, direct_sum_invariants
 from chowkit.chow import (
     chow_group,
@@ -29,7 +30,14 @@ from chowkit.orders import (
 )
 from chowkit.ntheory import primes_below
 from chowkit.quadfield import QElement, class_group, make_field, splitting
-from util import find_trivial_by_scan, fundamental_discriminants, transcribe_to_declared
+from util import (
+    LIFT_CONDUCTORS,
+    LIFT_FIELDS,
+    find_trivial_by_scan,
+    fundamental_discriminants,
+    principal_lift_by_labels,
+    transcribe_to_declared,
+)
 
 BIQUAD = "data/biquad.decl"
 QUINTIC = "data/quintic.decl"
@@ -220,6 +228,50 @@ def test_principal_round_trip_large_norms(d, f):
         assert res.status == "principal", (d, f, a)
         assert div_over_order(O, res.generator) == D
 
+
+
+def test_principal_lift_matches_label_keyed_divisors(monkeypatch):
+    """Step 6 builds the ideal and the generator of the label-keyed
+    reference: the same corrected lift, multiplied out from the order's
+    places instead of from labels."""
+    lifts = []
+    original = chow.is_principal
+
+    def capturing(field, I, max_steps=None):
+        lifts.append(I)
+        return original(field, I, max_steps=max_steps)
+
+    monkeypatch.setattr(chow, "is_principal", capturing)
+    rng = random.Random(17)
+    kinds = set()
+    reached = {True: 0, False: 0}          # by field.is_imaginary
+    for d in LIFT_FIELDS:
+        F = make_field(d)
+        for f in LIFT_CONDUCTORS:
+            O = order_from_conductor(F, f)
+            kinds |= {pl.kind for prime in O.primes for pl in prime.places}
+            pool = [pl for p in primes_below(30) if f % p for pl in splitting(F, p)]
+            divisors = []
+            for _ in range(6):
+                support = {prime.label: prime.g * rng.randint(-2, 2) for prime in O.primes}
+                for pl in rng.sample(pool, 2):
+                    support[pl.label] = rng.randint(-2, 2)
+                divisors.append(Divisor(LEVEL_ORDER, support))
+            y = rng.randint(1, 3)
+            x = rng.randint(-9, 9)
+            divisors.append(div_over_order(O, QElement(F, x + (x - y * d) % 2, y, 1)))
+            for D in divisors:
+                del lifts[:]
+                res = principal_divisor_test(O, D)
+                expected = principal_lift_by_labels(O, D)
+                if expected is None:
+                    assert res.status == "not-principal" and lifts == [], (d, f, D)
+                    continue
+                assert lifts == [expected], (d, f, D)
+                assert res.generator == original(F, expected), (d, f, D)
+                reached[F.is_imaginary] += 1
+    assert kinds == {"split", "inert", "ramified"}
+    assert min(reached.values()) >= 100, reached
 
 def test_pic_cardinality_examples():
     assert pic_cardinality(order_from_conductor(make_field(-7), 2)).pic_cardinality == 1

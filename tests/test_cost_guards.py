@@ -3,9 +3,13 @@
 The declared path: each test fails when a change brings back work that
 grows quadratically with the number of conductor primes, work repeated
 per place or per record on values that a file repeats, or a copy of the
-parsed records per order.  Ideal powers and divisor ideals: the exact
-number of products, none with the unit ideal.  A regression shows in the
-test suite before it shows in the benchmark.
+parsed records per order.  Ideal powers and place-power products: the
+exact number of products, none with the unit ideal.  A regression shows in
+the test suite before it shows in the benchmark.
+
+The principal lift and the kernel witness: each invertible label is
+resolved once, no place over the conductor is resolved from its label, and
+no divisor over the normalization is built.
 
 The Chow layer: ``relations`` is left unbuilt until read, ``find-trivial``
 builds the Chow group it found once, and its search maps each candidate by
@@ -20,8 +24,16 @@ import pytest
 from chowkit import abgroup, chow, cli, declared, orders
 from chowkit.abgroup import AbelianGroup
 from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
-from chowkit.quadfield import ClassGroupData, QIdeal, class_group, make_field, splitting
-from chowkit.orders import LEVEL_NORMALIZATION, Divisor, divisor_to_ideal, order_from_conductor
+from chowkit.quadfield import ClassGroupData, QElement, QIdeal, class_group, make_field, splitting
+from chowkit.orders import (
+    LEVEL_NORMALIZATION,
+    LEVEL_ORDER,
+    Divisor,
+    div_over_order,
+    order_from_conductor,
+    place_product,
+    resolve_place,
+)
 from util import random_declared_field
 
 N_PRIMES = 150
@@ -303,22 +315,64 @@ def test_ideal_power_cost(monkeypatch):
         assert not any(unit for _, unit in log), n
 
 
-def test_divisor_to_ideal_cost(monkeypatch):
+def test_place_product_cost(monkeypatch):
     F = make_field(-23)
-    order = order_from_conductor(F, 1)
-    exponents = {"2.0": 5, "3.1": -3, "13.0": 1, "2.1": 12}
+    exponents = {"2.0": 5, "3.1": -3, "13.0": 1, "5": 0, "2.1": 12}
+    places = [resolve_place(F, label) for label in exponents]
     log = _counting_products(monkeypatch)
-    I = divisor_to_ideal(order, Divisor(LEVEL_NORMALIZATION, exponents))
+    I = place_product(F, places, exponents.values())
     assert not any(unit for _, unit in log)
     # each power by square-and-multiply, then one product per further place
-    assert len(log) == sum(sum(_cost(k)) for k in exponents.values()) + len(exponents) - 1
+    nonzero = [k for k in exponents.values() if k]
+    assert len(log) == sum(sum(_cost(k)) for k in nonzero) + len(nonzero) - 1
     del log[:]
-    assert divisor_to_ideal(order, Divisor(LEVEL_NORMALIZATION)) == QIdeal.unit_ideal(F)
+    assert place_product(F, (), ()) == QIdeal.unit_ideal(F)
     assert log == []
     expected = QIdeal.unit_ideal(F)
     for label, k in exponents.items():
-        p, branch = map(int, label.split("."))
-        place = splitting(F, p)[branch].ideal()
+        place = resolve_place(F, label).ideal()
         for _ in range(abs(k)):
             expected = expected * (place if k > 0 else place.inverse())
     assert I == expected
+
+
+def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):
+    """Over Z + 30*O~ in Q(sqrt(-23)) (2 and 3 split, 5 inert):
+    ``principal_divisor_test`` resolves each invertible label of D once and
+    no place over the conductor, and neither it nor
+    ``divisor_kernel_witness`` builds a divisor over the normalization."""
+    F = make_field(-23)
+    order = order_from_conductor(F, 30)
+    conductor_labels = {pl.label for prime in order.primes for pl in prime.places}
+    divisors = [div_over_order(order, QElement(F, x, y, 1))
+                for x, y in ((5, 1), (7, 3), (11, 1), (29, 5))]
+    divisors += [Divisor(LEVEL_ORDER, {"2": 4, "7": 2, "7.0": -1, "13.1": 3})]
+    resolved = []
+    levels = []
+    original_resolve = orders.resolve_place
+    original_init = Divisor.__init__
+
+    def counting_resolve(field, label):
+        resolved.append(label)
+        return original_resolve(field, label)
+
+    def counting_init(self, level, support=None):
+        levels.append(level)
+        original_init(self, level, support)
+
+    monkeypatch.setattr(orders, "resolve_place", counting_resolve)
+    monkeypatch.setattr(chow, "resolve_place", counting_resolve, raising=False)
+    monkeypatch.setattr(Divisor, "__init__", counting_init)
+    reached = 0
+    for D in divisors:
+        del resolved[:]
+        res = chow.principal_divisor_test(order, D)
+        reached += res.status == "principal"
+        invertible = [l for l in D.support if l not in {p.label for p in order.primes}]
+        assert sorted(resolved) == sorted(invertible), D
+        assert not conductor_labels & set(resolved), D
+    assert reached >= 4
+    del resolved[:]
+    assert orders.divisor_kernel_witness(order) is not None
+    assert resolved == []
+    assert LEVEL_NORMALIZATION not in levels

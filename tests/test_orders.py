@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import chowkit.ntheory
+from chowkit import orders
 from chowkit.chow import principal_divisor_test
 from chowkit.cli import main
 from chowkit.declared import declared_order, load_declared
@@ -16,6 +17,7 @@ from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
+    bezout_vectors,
     conductor_test,
     div_over_order,
     divisor_kernel_witness,
@@ -27,7 +29,14 @@ from chowkit.orders import (
     pushforward,
 )
 from chowkit.quadfield import QElement, make_field, splitting
-from util import fundamental_discriminants
+from util import (
+    LIFT_CONDUCTORS,
+    LIFT_FIELDS,
+    fundamental_discriminants,
+    kernel_generators_by_labels,
+    random_declared_field,
+    witness_ideal_by_labels,
+)
 
 
 def test_order_from_conductor_examples():
@@ -321,6 +330,59 @@ def test_divisor_kernel_witness():
     wr = divisor_kernel_witness(Or)
     assert wr is not None and div_over_order(Or, wr).is_zero()
 
+
+
+def test_kernel_witness_matches_label_keyed_divisors(monkeypatch):
+    """A witness from a kernel generator is the generator of the label-keyed
+    reference ideal; otherwise it is a unit, or None exactly when the
+    reference has no nonzero kernel generator either."""
+    ideals = []
+    original = orders.is_principal
+
+    def capturing(field, I, max_steps=None):
+        ideals.append(I)
+        return original(field, I, max_steps=max_steps)
+
+    monkeypatch.setattr(orders, "is_principal", capturing)
+    from_kernel = 0
+    for d in LIFT_FIELDS:
+        F = make_field(d)
+        for f in LIFT_CONDUCTORS:
+            O = order_from_conductor(F, f)
+            del ideals[:]
+            w = divisor_kernel_witness(O)
+            if not ideals:
+                assert w is None or abs(w.norm()) == 1, (d, f)
+                if w is None:
+                    assert witness_ideal_by_labels(O) is None, (d, f)
+                continue
+            expected = witness_ideal_by_labels(O)
+            assert ideals == [expected], (d, f)
+            assert w == original(F, expected), (d, f)
+            from_kernel += 1
+    assert from_kernel >= 20, from_kernel
+
+
+def test_fabric_n_generators_are_kernel_vector_classes():
+    """The N generators of ``fabric`` are the classes of the kernel vectors
+    of ``bezout_vectors``, and ``kernel_generators`` spells those vectors
+    as the label-keyed divisors (d_{i,j}/g_i) Q_i - P_{i,j}."""
+    decl = random_declared_field(random.Random(7), 12, (2, 6))
+    cases = [order_from_conductor(make_field(d), f)
+             for d in LIFT_FIELDS for f in LIFT_CONDUCTORS]
+    cases += [declared_order(decl, decl.prime_labels),
+              declared_order(load_declared("data/biquad.decl"), ["main"])]
+    for O in cases:
+        cl, _, n_gens = O.fabric
+        classes = []
+        for prime in O.primes:
+            for gen in bezout_vectors(prime)[1]:
+                c = cl.identity()
+                for pl, k in zip(prime.places, gen):
+                    c = c + k * O.place_class(pl)
+                classes.append(c)
+        assert tuple(classes) == n_gens
+        assert kernel_generators(O) == kernel_generators_by_labels(O)
 
 @pytest.mark.parametrize("d, f", [(-47, 6), (-47, 119), (-3299, 30), (-3299, 35)])
 def test_divisor_kernel_witness_exists(d, f):

@@ -4,14 +4,17 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from chowkit import FieldInputError, make_field
-from chowkit.abgroup import quotient, solve_combination, subgroup_quotient
+from chowkit.abgroup import element_order, quotient, solve_combination, subgroup_quotient
 from chowkit.chow import chow_group
 from chowkit.declared import DeclaredField, DeclaredPlace, declared_order
 from chowkit.orders import (
+    LEVEL_NORMALIZATION,
     DeclaredOrder,
+    Divisor,
     NonInvertiblePrime,
     QuadraticOrder,
     order_from_conductor,
+    resolve_place,
 )
 from chowkit.ntheory import egcd, primes_below
 from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit, splitting
@@ -361,3 +364,82 @@ def find_trivial_by_scan(field, prime_budget):
             assert chow_group(order_from_conductor(field, f)).result.is_trivial()
             return f
     return None
+
+
+# imaginary and real fields, and conductors whose primes split, stay inert or
+# ramify in them, prime powers among them: the sweep for the label-keyed
+# references below
+LIFT_FIELDS = (-23, -7, -20, -39, -47, -84, -95, 5, 40, 65, 229)
+LIFT_CONDUCTORS = (2, 3, 4, 5, 6, 9, 10, 12, 15, 22, 25, 30)
+
+
+def q_divisor_by_labels(prime):
+    """Q_i = sum(lambda_{i,j} * P_{i,j}) as a divisor keyed by place labels."""
+    return Divisor(LEVEL_NORMALIZATION, {
+        pl.label: lam for pl, lam in zip(prime.places, prime.lambdas)})
+
+
+def kernel_generators_by_labels(order):
+    """(d_{i,j}/g_i) * Q_i - P_{i,j} per (prime, place), by divisor arithmetic."""
+    return [(pl.degree // prime.g) * q_divisor_by_labels(prime)
+            + Divisor(LEVEL_NORMALIZATION, {pl.label: -1})
+            for prime in order.primes for pl in prime.places]
+
+
+def ideal_by_labels(field, D):
+    """Product of the place ideals of a normalization divisor, each place
+    resolved again from its label, in sorted label order."""
+    acc = QIdeal.unit_ideal(field)
+    for label in sorted(D.support):
+        acc = acc * resolve_place(field, label).ideal() ** D.support[label]
+    return acc
+
+
+def principal_lift_by_labels(order, D):
+    """Ideal of the corrected lift of a divisor D over a quadratic order, or
+    None when D fails step 1 or step 5 of the principal test.
+
+    sum (a_i/g_i) Q_i plus the invertible part of D plus sum x_k gen_k,
+    with x from ``solve_combination`` taken as balanced residues modulo the
+    orders of the kernel classes, all as label-keyed divisors multiplied
+    out through ``resolve_place``: the reference for step 6 of
+    ``chow.principal_divisor_test``.
+    """
+    field = order.field
+    cg = class_group(field)
+    cl, q_classes, n_gens = order.fabric
+    prime_labels = {prime.label for prime in order.primes}
+    invertible = {l: c for l, c in D.support.items() if l not in prime_labels}
+    div = Divisor(LEVEL_NORMALIZATION, invertible)
+    cls = cl.identity()
+    for label, c in invertible.items():
+        cls = cls + c * cg.dlog(resolve_place(field, label).ideal())
+    for prime, q in zip(order.primes, q_classes):
+        a = D.coefficient(prime.label)
+        if a % prime.g:
+            return None
+        div = div + (a // prime.g) * q_divisor_by_labels(prime)
+        cls = cls + (a // prime.g) * q
+    x = solve_combination(cl, n_gens, -cls)
+    if x is None:
+        return None
+    for coeff, gen, c in zip(x, kernel_generators_by_labels(order), n_gens):
+        m = element_order(cl, c)
+        coeff %= m
+        div = div + (coeff - m if 2 * coeff > m else coeff) * gen
+    return ideal_by_labels(field, div)
+
+
+def witness_ideal_by_labels(order):
+    """The principal ideal whose generator ``orders.divisor_kernel_witness``
+    returns when no unit escapes the order: m*g for the nonzero kernel
+    generator g whose class has the least order m (the first such), or None
+    when every generator is zero."""
+    cl, _, n_gens = order.fabric
+    pairs = [(element_order(cl, c), g)
+             for g, c in zip(kernel_generators_by_labels(order), n_gens)
+             if not g.is_zero()]
+    if not pairs:
+        return None
+    m, g = min(pairs, key=lambda pair: pair[0])
+    return ideal_by_labels(order.field, m * g)
