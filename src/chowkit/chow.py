@@ -61,7 +61,7 @@ from .quadfield import (
     fundamental_unit,
     is_principal,
     _splitting,
-    unit_group_order,
+    torsion_units,
 )
 
 
@@ -321,7 +321,7 @@ def pic_cardinality(order: OrderData) -> PicReport:
         raise RuntimeError("residue unit count not divisible by phi(f); bug")
     rel = resid // phi
     if field.is_imaginary:
-        idx = unit_group_order(field) // 2
+        idx = len(torsion_units(field)) // 2
     else:
         d, n = field.d, field.omega_norm
         u, v, _ = fundamental_unit(field).omega_coords()

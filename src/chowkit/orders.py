@@ -50,6 +50,7 @@ from .quadfield import (
     element_divisor,
     fundamental_unit,
     is_principal,
+    _splitting,
     residue_unit_cardinality,
     splitting,
     torsion_units,
@@ -291,7 +292,7 @@ def order_from_conductor(field: QuadField, f: int) -> QuadraticOrder:
     f = int(f)
     if f < 1:
         raise ValueError("conductor must be >= 1")
-    primes = [NonInvertiblePrime(str(p), p, p, splitting(field, p))
+    primes = [NonInvertiblePrime(str(p), p, p, _splitting(field, p))
               for p in sorted(factorize(f))]
     return QuadraticOrder(field, f, primes)
 
@@ -404,7 +405,7 @@ def conductor_test(field: QuadField, exponents):
             raise PlaceResolutionError(f"place {place.label} given twice")
         kmap[place.label] = k
     for p in sorted(by_p):
-        places = splitting(field, p)
+        places = _splitting(field, p)
         viol = _violator(places, [by_p[p].get(pl.label, 0) for pl in places])
         if viol is not None:
             return False, viol

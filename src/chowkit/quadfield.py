@@ -22,14 +22,13 @@ case the key is the least form of the reduction cycle (the narrow class),
 and each cycle is walked once per build.  Real class groups are then taken modulo the class
 of sqrt(d)*Z[w], which removes the narrow/wide distinction; both quotients'
 transforms are composed once, so every class group is presented on the
-span's generators and ``dlog`` maps a class in one step.  Generator
-representatives are primitive ideals of reduced forms.
+span's generators and ``dlog`` maps a class in one step.
 
 The same composition, unreduced, is the ideal product: the primitive parts
 of two ideals multiply to gcd(a1, a2, (b1 + b2)/2) times the ideal of the
 composed form.  A principal ideal alpha*Z[w] is read off alpha's norm and
 coordinates, so one algorithm serves class groups, products and principal
-ideals.
+ideals.  The divisor of alpha is read off that ideal's normal form.
 
 Principal generators come from the same reduction, run on the form of an
 ideal while it carries the relative generator of each step (Buchmann &
@@ -277,7 +276,7 @@ def splitting(field: QuadField, p: int):
 
 
 def _splitting(field: QuadField, p: int):
-    """``splitting`` for an int p already known to be prime (a sieve's)."""
+    """``splitting`` for an int p known to be prime (from a sieve or factorize)."""
     d = field.d
     if p == 2:
         if d % 2:
@@ -378,19 +377,6 @@ class QIdeal:
                 out = out * self
         return out
 
-    def contains(self, elt: QElement) -> bool:
-        if elt.field.d != self.field.d:
-            raise TypeError("element of a different field")
-        if elt.is_zero():
-            return True
-        u, v, den = elt.omega_coords()
-        q = den * self.content  # elt in c*L0  <=>  (u + v*w) in (den*c)*L0
-        qn, qd = q.numerator, q.denominator
-        if (qd * v) % qn:
-            return False
-        t = qd * v // qn
-        return (qd * u - t * qn * self.b) % (qn * self.a) == 0
-
     def form(self):
         """Binary quadratic form of the primitive part, discriminant d."""
         d = self.field.d
@@ -431,35 +417,31 @@ def principal_ideal(alpha: QElement) -> QIdeal:
     return QIdeal(field, a, u * pow(v, -1, a), Fraction(g, den))
 
 
-def ord_at(field: QuadField, place: PrimePlace, a: QElement) -> int:
-    """Exponent of the place in the factorization of a*Z[w]."""
-    if a.is_zero():
-        raise ValueError("ord of zero is undefined")
-    num = QElement(field, a.x, a.y, 1)
-    P = place.ideal()
-    k = 0
-    power = P
-    while power.contains(num):
-        k += 1
-        power = power * P
-    vp = 0
-    den = a.den
-    while den % place.p == 0:
-        vp += 1
-        den //= place.p
-    return k - vp * (2 if place.kind == "ramified" else 1)
-
-
 def element_divisor(field: QuadField, a: QElement) -> dict:
-    """Divisor of a over the maximal order, as {place label: ord}."""
+    """Divisor of a over the maximal order, as {place label: ord}.
+
+    Read off the normal form c*(A*Z + (B + w)*Z) of a*Z[w]: the content c
+    gives each place over p the exponent v_p(c)*e, and p^k || A gives k to
+    the place over p with b = B (mod p), the one place over p that divides
+    a primitive ideal of norm divisible by p (never an inert one).
+
+    >>> F = make_field(-7)
+    >>> alpha = QElement(F, 1, 1, 1)
+    >>> element_divisor(F, alpha / alpha.conj())
+    {'2.0': 1, '2.1': -1}
+    """
     if a.is_zero():
         raise ValueError("zero element has no divisor")
-    num_norm = (a.x * a.x - a.y * a.y * field.d) // 4
-    support = set(factorize(num_norm)) | set(factorize(a.den))
+    I = principal_ideal(a)
+    v_content = factorize(I.content.numerator)
+    v_content.update((p, -k) for p, k in factorize(I.content.denominator).items())
+    v_norm = factorize(I.a)
     out = {}
-    for p in sorted(support):
-        for place in splitting(field, p):
-            o = ord_at(field, place, a)
+    for p in sorted(v_content.keys() | v_norm.keys()):
+        for place in _splitting(field, p):
+            o = v_content.get(p, 0) * place.e
+            if place.b == I.b % p:
+                o += v_norm.get(p, 0)
             if o:
                 out[place.label] = o
     return out
@@ -565,21 +547,6 @@ def _unit_form(d, sd):
     return _reduced(d, sd, (1, d, (d * d - d) // 4))
 
 
-def _form_pow(d, sd, form, e):
-    """Reduced form**e (a > 0), by square-and-multiply on reduced forms."""
-    if e < 0:
-        a, b, c = form
-        form, e = (a, -b, c), -e
-    out = _unit_form(d, sd)
-    while e:
-        if e & 1:
-            out = _reduced(d, sd, _compose(out, form, d))
-        e >>= 1
-        if e:
-            form = _reduced(d, sd, _compose(form, form, d))
-    return out
-
-
 def _class_key(d, sd, form, memo=None):
     """Canonical key of the class of a primitive form of discriminant d.
 
@@ -634,24 +601,18 @@ def reduced_form_count(d: int) -> int:
 
 
 class ClassGroupData:
-    """Ideal class group with per-generator ideal representatives.
-
-    ``group`` is presented on the span's generators, the reduced forms that
-    ``table`` gives each class key its coordinates over.
+    """Ideal class group: ``group`` is presented on the span's generators,
+    the reduced forms that ``table`` gives each class key its coordinates
+    over, and ``dlog`` maps an ideal to its class.
     """
 
-    def __init__(self, field, group, representatives, narrow, table):
+    def __init__(self, field, group, table):
         self.field = field
         self.group = group
-        self.representatives = representatives
-        self._narrow = narrow
         self._table = table
 
-    @property
-    def invariant_factors(self):
-        return self.group.invariant_factors
-
     def cardinality(self):
+        # perfbench/tracing.py calls it for its class_group.h_max counter
         return self.group.cardinality()
 
     def dlog(self, ideal: QIdeal):
@@ -756,9 +717,9 @@ def class_group(field: QuadField) -> ClassGroupData:
     if d > 0:
         # narrow modulo the class t of sqrt(d)*Z[w], by one quotient of the
         # moduli rows and t's row as they stand.  These rows set the class
-        # coordinates, and with them the representatives and the generators
-        # the CLI prints; the Hermite basis of subgroup_quotient gives the
-        # same group in other coordinates for some fields (d = 1365, 1740)
+        # coordinates, and with them the generators the CLI prints; the
+        # Hermite basis of subgroup_quotient gives the same group in other
+        # coordinates for some fields (d = 1365, 1740)
         t = narrow.member(table[_class_key(d, sd, sqrt_d_form, memo)]).coords
         k = narrow.rank
         moduli = [[m if i == j else 0 for i in range(k)]
@@ -770,22 +731,15 @@ def class_group(field: QuadField) -> ClassGroupData:
             generator_lifts=wide.generator_lifts @ narrow.generator_lifts,
         )
 
-    reps = []
-    for j in range(group.rank):
-        acc = _unit_form(d, sd)
-        for gen, e in zip(gens, group.generator_lifts.row(j)):
-            if e:
-                acc = _reduced(d, sd, _compose(acc, _form_pow(d, sd, gen, e), d))
-        a, b, _ = acc
-        reps.append(QIdeal(field, a, (b - d) // 2))
-
-    data = ClassGroupData(field, group, tuple(reps), narrow, table)
+    data = ClassGroupData(field, group, table)
     _CLASS_CACHE[d] = data
     return data
 
 
 def fundamental_unit(field: QuadField) -> QElement:
-    """Fundamental unit eps > 1 of a real field, via continued fractions."""
+    """Fundamental unit eps > 1 of a real field: one period of n partial
+    quotients of the reduced theta = (u + sqrt(d))/2, u = d (mod 2), gives
+    eps = q_(n-1)*theta + q_(n-2) in Z[theta] = Z[w] (Cohen, GTM 138, 5.7)."""
     if not field.is_real:
         raise FieldInputError("fundamental unit requires a real field")
     d = field.d
@@ -793,36 +747,17 @@ def fundamental_unit(field: QuadField) -> QElement:
     if cached is not None:
         return cached
     sd = isqrt(d)
-    if d % 4 == 0:
-        m = d // 4
-        a0 = isqrt(m)
-        p_prev, p_cur = 1, a0
-        q_prev, q_cur = 0, 1
-        P, Q = a0, m - a0 * a0
-        while True:
-            a = (a0 + P) // Q
-            if a == 2 * a0:
-                break
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            P = a * Q - P
-            Q = (m - P * P) // Q
-        eps = QElement(field, 2 * p_cur, q_cur, 1)
-    else:
-        u = sd if sd % 2 else sd - 1
-        P0, Q0 = u, 2
-        p_prev, p_cur = 0, 1
-        q_prev, q_cur = 1, 0
-        P, Q = P0, Q0
-        while True:
-            a = (P + sd) // Q
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            P = a * Q - P
-            Q = (d - P * P) // Q
-            if (P, Q) == (P0, Q0):
-                break
-        eps = QElement(field, q_cur * u + 2 * q_prev, q_cur, 1)
+    u = sd - (sd - d) % 2
+    P, Q = u, 2
+    q_prev, q_cur = 1, 0
+    while True:
+        a = (P + sd) // Q
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == (u, 2):
+            break
+    eps = QElement(field, q_cur * u + 2 * q_prev, q_cur, 1)
     if abs(eps.norm()) != 1:
         raise RuntimeError(f"continued fraction produced a non-unit for d={d}")
     _UNIT_CACHE[d] = eps
@@ -840,15 +775,6 @@ def torsion_units(field: QuadField):
         z = QElement(field, 1, 1, 1)  # primitive sixth root of unity
         units += [z, -z, z * z, -(z * z)]
     return units
-
-
-def unit_group_order(field: QuadField) -> int:
-    """Order of the torsion unit group of the maximal order."""
-    if field.d == -3:
-        return 6
-    if field.d == -4:
-        return 4
-    return 2
 
 
 def is_principal(field: QuadField, I: QIdeal, max_steps=None):

@@ -136,11 +136,12 @@ def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
 
 _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_chow_at",
                   "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
-                  "invertible_place_class", "residue_units_trivial")
+                  "invertible_place_class", "residue_units_trivial", "ord_at",
+                  "unit_group_order", "_form_pow")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
-                                    "chowkit.errors"])
+                                    "chowkit.errors", "chowkit.quadfield"])
 @pytest.mark.parametrize("name", _REMOVED_NAMES)
 def test_removed_names_stay_removed(name, module):
     assert not hasattr(importlib.import_module(module), name)
@@ -154,6 +155,8 @@ def _owner(kind):
         return class_group(make_field(40))  # a real field, with a wide quotient
     if kind == "PrimePlace":
         return splitting(make_field(-7), 3)[0]
+    if kind == "QIdeal":
+        return splitting(make_field(-7), 2)[0].ideal()
     if kind == "QuadraticOrder":
         return order_from_conductor(make_field(-7), 2)
     if kind == "DeclaredOrder":
@@ -171,6 +174,10 @@ def _owner(kind):
     ("ChowPresentation", "invariant_factors"),
     ("ChowPresentation", "cardinality"),
     ("ClassGroupData", "_wide"),
+    ("ClassGroupData", "representatives"),
+    ("ClassGroupData", "_narrow"),
+    ("ClassGroupData", "invariant_factors"),
+    ("QIdeal", "contains"),
     ("PrimePlace", "unique"),
     ("cli", "_group_str"),
     ("QuadraticOrder", "invertible_place_class"),

@@ -7,6 +7,10 @@ parsed records per order.  Ideal powers and place-power products: the
 exact number of products, none with the unit ideal.  A regression shows in
 the test suite before it shows in the benchmark.
 
+Divisors of elements are read off the normal form of their ideal, with no
+ideal product, and the primes of a conductor, found by ``factorize``, are
+not tested for primality again.
+
 The principal lift and the kernel witness: each invertible label is
 resolved once, no place over the conductor is resolved from its label, and
 no divisor over the normalization is built.
@@ -21,10 +25,19 @@ import random
 
 import pytest
 
-from chowkit import abgroup, chow, cli, declared, orders
+from chowkit import abgroup, chow, cli, declared, ntheory, orders, quadfield
 from chowkit.abgroup import AbelianGroup
 from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
-from chowkit.quadfield import ClassGroupData, QElement, QIdeal, class_group, make_field, splitting
+from chowkit.quadfield import (
+    ClassGroupData,
+    QElement,
+    QIdeal,
+    class_group,
+    element_divisor,
+    is_principal,
+    make_field,
+    splitting,
+)
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
@@ -334,6 +347,34 @@ def test_place_product_cost(monkeypatch):
         for _ in range(abs(k)):
             expected = expected * (place if k > 0 else place.inverse())
     assert I == expected
+
+
+def test_element_divisor_makes_no_ideal_product(monkeypatch):
+    """The generator of P^64, P over 11 in Q(sqrt(-7)), has its divisor read
+    off its normal form, where dividing out powers of P took 64 products."""
+    F = make_field(-7)
+    place = splitting(F, 11)[0]
+    alpha = is_principal(F, place.ideal() ** 64)
+    log = _counting_products(monkeypatch)
+    assert element_divisor(F, alpha) == {place.label: 64}
+    assert log == []
+
+
+def test_order_from_conductor_tests_no_prime(monkeypatch):
+    """The primes of f = 210 come from ``factorize``; their places are not
+    tested for primality again."""
+    calls = []
+    original = ntheory.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(ntheory, "is_prime", counting)
+    monkeypatch.setattr(quadfield, "is_prime", counting)
+    order = order_from_conductor(make_field(-23), 210)
+    assert [prime.p for prime in order.primes] == [2, 3, 5, 7]
+    assert calls == []
 
 
 def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):

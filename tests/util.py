@@ -16,7 +16,7 @@ from chowkit.orders import (
     order_from_conductor,
     resolve_place,
 )
-from chowkit.ntheory import egcd, primes_below
+from chowkit.ntheory import egcd, factorize, primes_below
 from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit, splitting
 
 
@@ -109,6 +109,76 @@ def unit_index_by_powers(field, f):
     return k
 
 
+def ideal_contains(I, elt):
+    """Whether the field element elt lies in the fractional ideal I."""
+    if elt.field.d != I.field.d:
+        raise TypeError("element of a different field")
+    if elt.is_zero():
+        return True
+    u, v, den = elt.omega_coords()
+    q = den * I.content  # elt in c*L0  <=>  (u + v*w) in (den*c)*L0
+    qn, qd = q.numerator, q.denominator
+    if (qd * v) % qn:
+        return False
+    t = qd * v // qn
+    return (qd * u - t * qn * I.b) % (qn * I.a) == 0
+
+
+def ord_by_place_powers(field, place, a):
+    """Exponent of the place in a*Z[w]: the numerator (x + y*sqrt(d))/2 lies
+    in P^k for k = 0, 1, ... until it does not, one product per k, less
+    v_p(den) * e.  The reference for ``quadfield.element_divisor``."""
+    num = QElement(field, a.x, a.y, 1)
+    P = place.ideal()
+    k = 0
+    power = P
+    while ideal_contains(power, num):
+        k += 1
+        power = power * P
+    vp = 0
+    den = a.den
+    while den % place.p == 0:
+        vp += 1
+        den //= place.p
+    return k - vp * (2 if place.kind == "ramified" else 1)
+
+
+def divisor_by_place_powers(field, a):
+    """{place label: ord} over the primes of N(a) and of a's denominator,
+    sorted by p and then by branch, by ``ord_by_place_powers``."""
+    num_norm = (a.x * a.x - a.y * a.y * field.d) // 4
+    out = {}
+    for p in sorted(set(factorize(num_norm)) | set(factorize(a.den))):
+        for place in splitting(field, p):
+            o = ord_by_place_powers(field, place, a)
+            if o:
+                out[place.label] = o
+    return out
+
+
+def fundamental_unit_by_sqrt_m(field):
+    """Fundamental unit eta > 1 of Z[sqrt(m)], m = d/4 for d = 0 (mod 4) and
+    m = d otherwise, from one period of the continued fraction of sqrt(m),
+    which ends at the partial quotient 2*floor(sqrt(m)).  For d = 0 (mod 4)
+    Z[sqrt(m)] = Z[w] and eta is the fundamental unit; for d = 1 (mod 4)
+    Z[sqrt(d)] has index 2 in Z[w] and eta is eps or eps^3."""
+    d = field.d
+    m = d // 4 if d % 4 == 0 else d
+    a0 = isqrt(m)
+    p_prev, p_cur = 1, a0
+    q_prev, q_cur = 0, 1
+    P, Q = a0, m - a0 * a0
+    while True:
+        a = (a0 + P) // Q
+        if a == 2 * a0:
+            break
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        P = a * Q - P
+        Q = (m - P * P) // Q
+    return QElement(field, 2 * p_cur, q_cur if m != d else 2 * q_cur, 1)
+
+
 def principal_generator_by_search(field, I):
     """Generator of I when principal, else None, by a complete box search.
 
@@ -138,7 +208,7 @@ def principal_generator_by_search(field, I):
                 continue
             for cx in {x, -x}:
                 z = QElement(field, cx, t, 1)
-                if (cx - t * d) % 2 == 0 and prim.contains(z):
+                if (cx - t * d) % 2 == 0 and ideal_contains(prim, z):
                     return found(cx, t)
         return None
 
@@ -155,7 +225,7 @@ def principal_generator_by_search(field, I):
                 continue
             for cx in {x, -x}:
                 z = QElement(field, cx, t, 1)
-                if (cx - t * d) % 2 == 0 and not z.is_zero() and prim.contains(z):
+                if (cx - t * d) % 2 == 0 and not z.is_zero() and ideal_contains(prim, z):
                     return found(cx, t)
     return None
 
