@@ -312,8 +312,7 @@ class AbelianGroup:
             elif seen_zero:
                 raise ValueError("free factors must come last")
             if i and factors[i - 1] != 0 and d % factors[i - 1]:
-                if d != 0:
-                    raise ValueError(f"divisibility chain broken at {factors[i - 1]} | {d}")
+                raise ValueError(f"divisibility chain broken at {factors[i - 1]} | {d}")
         self.invariant_factors = factors
         k = len(factors)
         self.basis_change = IntMatrix.identity(k) if basis_change is None else basis_change

@@ -44,7 +44,6 @@ from .orders import (
     Divisor,
     QuadraticOrder,
     conductor_test,
-    local_chow,
     order_conductor_test,
     order_from_conductor,
     prop_fix_report,
@@ -169,8 +168,7 @@ def cmd_chow(args):
         "nonsplit": es.nonsplit,
         "consistent": es.consistent,
     }
-    local = " x ".join(local_chow(order, i).describe()
-                       for i, p in enumerate(order.primes) if p.g > 1)
+    local = " x ".join(f"Z/{g}" for g in es.local_invariants)
     lines = [
         f"Chow: {es.chow.describe()}",
         f"image: {es.image_part.describe()}",
@@ -231,13 +229,13 @@ def cmd_order_info(args):
         return EXIT_OK
 
     lines.append("non-invertible primes:")
-    for i, prime in enumerate(order.primes):
+    for prime in order.primes:
         places = ", ".join(
             f"{pl.label} (d={pl.degree}, e={pl.e})" for pl in prime.places)
-        lc = local_chow(order, i)
+        local = f"Z/{prime.g}" if prime.g > 1 else "trivial"
         lines.append(
             f"  {prime.label}: residue F_{prime.residue_size}; places {places}; "
-            f"g = {prime.g}; local Chow: {lc.describe()}")
+            f"g = {prime.g}; local Chow: {local}")
         doc["primes"].append({
             "label": prime.label,
             "p": prime.p,
@@ -247,7 +245,7 @@ def cmd_order_info(args):
                 for pl in prime.places
             ],
             "g": prime.g,
-            "local_chow": list(lc.invariant_factors),
+            "local_chow": [prime.g] if prime.g > 1 else [],
         })
 
     ok, viol = order_conductor_test(order)

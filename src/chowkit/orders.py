@@ -297,12 +297,6 @@ def order_from_conductor(field: QuadField, f: int) -> QuadraticOrder:
     return QuadraticOrder(field, f, primes)
 
 
-def local_chow(order: OrderData, i: int) -> AbelianGroup:
-    """Local Chow group at the i-th non-invertible prime: Z/g_i."""
-    prime = order.primes[i]
-    return AbelianGroup([prime.g] if prime.g > 1 else [])
-
-
 def pushforward(order: OrderData, D: Divisor) -> Divisor:
     """Degree-weighted transfer of a normalization divisor down to the order."""
     if D.level != LEVEL_NORMALIZATION:

@@ -15,11 +15,12 @@ Fixed conventions used throughout:
 
 Class groups are spanned by the prime ideals below the Minkowski bound
 (``class_prime_bound``), computed entirely on their binary quadratic forms:
-every product is a Dirichlet composition of two reduced forms (Cohen, GTM
-138, Alg. 5.4.7), reduced again, so intermediates keep O(log |d|) bits.
-Reduced forms are canonical class keys in the imaginary case; in the real
-case the key is the least form of the reduction cycle (the narrow class),
-and each cycle is walked once per build.  Real class groups are then taken modulo the class
+each class is keyed by one reduced form with a > 0, which is also the form
+composed: every product is a Dirichlet composition of two keys (Cohen, GTM
+138, Alg. 5.4.7), keyed once, so intermediates keep O(log |d|) bits.  In
+the imaginary case the key is the reduced form; in the real case it is the
+least form with a > 0 on the reduction cycle (the narrow class), and each
+cycle is walked once per build.  Real class groups are then taken modulo the class
 of sqrt(d)*Z[w], which removes the narrow/wide distinction; both quotients'
 transforms are composed once, so every class group is presented on the
 span's generators and ``dlog`` maps a class in one step.
@@ -505,19 +506,6 @@ def _reduce_real(d, sd, form):
     return form
 
 
-def _reduced(d, sd, form):
-    """Reduced form with a > 0 in the class of form.
-
-    For d < 0 this is the unique reduced form; for d > 0 a form on the
-    class's reduction cycle (reduced forms there have a*c < 0, so one rho
-    step turns a < 0 into a > 0).
-    """
-    if d < 0:
-        return _reduce_imag(form)
-    form = _reduce_real(d, sd, form)
-    return _rho_real(d, sd, form) if form[0] < 0 else form
-
-
 def _compose(f1, f2, d):
     """Dirichlet composition of primitive forms of discriminant d with a > 0.
 
@@ -543,17 +531,16 @@ def _compose(f1, f2, d):
     return (a3, b3, (b3 * b3 - d) // (4 * a3))
 
 
-def _unit_form(d, sd):
-    return _reduced(d, sd, (1, d, (d * d - d) // 4))
-
-
 def _class_key(d, sd, form, memo=None):
-    """Canonical key of the class of a primitive form of discriminant d.
+    """Canonical key of the class of a primitive form of discriminant d,
+    itself a form with a > 0, so keys compose with ``_compose``.
 
-    d < 0: the reduced form.  d > 0: the least form of the reduction cycle,
-    which identifies the narrow class.  A memo dict, when given, maps every
-    form of each cycle walked so far to its key, so that a cycle is walked
-    once per memo.
+    d < 0: the reduced form.  d > 0: the least form with a > 0 on the
+    reduction cycle, which identifies the narrow class.  Reduced indefinite
+    forms have a*c < 0 and rho maps (a, b, c) to (c, ...), so the sign of a
+    alternates along the cycle and such a form exists.  A memo dict, when
+    given, maps every form of each cycle walked so far to its key, so that a
+    cycle is walked once per memo.
     """
     if d < 0:
         return _reduce_imag(form)
@@ -567,7 +554,7 @@ def _class_key(d, sd, form, memo=None):
         if len(cycle) > 100001:
             raise RuntimeError("runaway reduction cycle")
         f = _rho_real(d, sd, f)
-    best = min(cycle)
+    best = min(f for f in cycle if f[0] > 0)
     if memo is not None:
         memo.update(dict.fromkeys(cycle, best))
     return best
@@ -602,8 +589,8 @@ def reduced_form_count(d: int) -> int:
 
 class ClassGroupData:
     """Ideal class group: ``group`` is presented on the span's generators,
-    the reduced forms that ``table`` gives each class key its coordinates
-    over, and ``dlog`` maps an ideal to its class.
+    ``table`` maps each class key, the class's one reduced form with a > 0,
+    to its coordinates over them, and ``dlog`` maps an ideal to its class.
     """
 
     def __init__(self, field, group, table):
@@ -621,47 +608,39 @@ class ClassGroupData:
         if ideal.field.d != self.field.d:
             raise TypeError("ideal of a different field")
         d = self.field.d
-        key = _class_key(d, isqrt(d) if d > 0 else 0, ideal.form())
-        return self.group.member(self._table[key])
+        coords = self._table[_class_key(d, isqrt(d) if d > 0 else 0, ideal.form())]
+        return self.group.member(coords + (0,) * (self.group.user_rank - len(coords)))
 
 
 def _span_classes(d, sd, candidates, memo):
     """BFS span of the classes of candidate forms.
 
-    Returns (table, gens, relation rows): table maps each class key to its
-    coordinates over gens, the reduced candidates that enlarged the span.
-    Every product is a composition of two reduced forms, reduced again.
+    Returns (table, relation rows): table maps each class key to its
+    coordinates over the candidates that enlarged the span, trailing zeros
+    left off, and there is one row per such generator.  Every product is a
+    composition of two keys, keyed once.
     """
-    one = _unit_form(d, sd)
-    k1 = _class_key(d, sd, one, memo)
-    table = {k1: ()}
-    reps = {k1: one}
-    gens = []
+    table = {_class_key(d, sd, (1, d, (d * d - d) // 4), memo): ()}
     rels = []
     for form in candidates:
-        cand = _reduced(d, sd, form)
-        if _class_key(d, sd, cand, memo) in table:
+        cand = _class_key(d, sd, form, memo)
+        if cand in table:
             continue
-        idx = len(gens)
+        idx = len(rels)
         chain = []
         power = cand
-        while _class_key(d, sd, power, memo) not in table:
+        while power not in table:
             chain.append(power)
-            power = _reduced(d, sd, _compose(power, cand, d))
+            power = _class_key(d, sd, _compose(power, cand, d), memo)
         r = len(chain) + 1
-        base = table[_class_key(d, sd, power, memo)]
-        new_entries = {}
-        for k_old, coords in table.items():
-            rep_old = reps[k_old]
+        base = table[power]
+        for k_old in list(table):
+            coords = table[k_old]
             for t in range(1, r):
-                prod = _reduced(d, sd, _compose(rep_old, chain[t - 1], d))
-                kk = _class_key(d, sd, prod, memo)
-                new_entries[kk] = tuple(coords) + (0,) * (idx - len(coords)) + (t,)
-                reps[kk] = prod
-        table.update(new_entries)
-        gens.append(cand)
+                kk = _class_key(d, sd, _compose(k_old, chain[t - 1], d), memo)
+                table[kk] = coords + (0,) * (idx - len(coords)) + (t,)
         rels.append((idx, r, base))
-    n = len(gens)
+    n = len(rels)
     rows = []
     for idx, r, base in rels:
         row = [0] * n
@@ -669,8 +648,7 @@ def _span_classes(d, sd, candidates, memo):
         for j, v in enumerate(base):
             row[j] -= v
         rows.append(row)
-    table = {k: tuple(v) + (0,) * (n - len(v)) for k, v in table.items()}
-    return table, gens, rows
+    return table, rows
 
 
 def check_class_disc(d: int):
@@ -710,8 +688,8 @@ def class_group(field: QuadField) -> ClassGroupData:
         candidates.append(sqrt_d_form)
 
     memo = {}  # for this build only: cached with the group, it would hold every form
-    table, gens, rows = _span_classes(d, sd, candidates, memo)
-    narrow = quotient(len(gens), rows)
+    table, rows = _span_classes(d, sd, candidates, memo)
+    narrow = quotient(len(rows), rows)
 
     group = narrow
     if d > 0:
@@ -720,7 +698,8 @@ def class_group(field: QuadField) -> ClassGroupData:
         # coordinates, and with them the generators the CLI prints; the
         # Hermite basis of subgroup_quotient gives the same group in other
         # coordinates for some fields (d = 1365, 1740)
-        t = narrow.member(table[_class_key(d, sd, sqrt_d_form, memo)]).coords
+        t = table[_class_key(d, sd, sqrt_d_form, memo)]
+        t = narrow.member(t + (0,) * (len(rows) - len(t))).coords
         k = narrow.rank
         moduli = [[m if i == j else 0 for i in range(k)]
                   for j, m in enumerate(narrow.invariant_factors)]
@@ -821,23 +800,15 @@ def is_principal(field: QuadField, I: QIdeal, max_steps=None):
     return best.scaled(I.content)
 
 
-def residue_unit_cardinality(field: QuadField, f) -> int:
-    """Order of (Z[w] / f*Z[w])^*, multiplicative over prime powers.
+def residue_unit_cardinality(field: QuadField, exponents: dict) -> int:
+    """Order of (Z[w] / f*Z[w])^* from the factorization {p: v_p(f)} of f.
 
-    f is the conductor, or its factorization as a dict {p: v_p(f)}.
+    Each place over p, of residue size q = p^degree, divides f*Z[w] to the
+    power n = v_p(f)*e and contributes q^(n-1)*(q - 1).
     """
-    if not isinstance(f, dict):
-        f = int(f)
-        if f < 1:
-            raise ValueError("positive conductor required")
-        f = factorize(f)
     out = 1
-    for p, k in f.items():
-        kind = _splitting(field, p)[0].kind
-        if kind == "split":
-            out *= (p ** (k - 1) * (p - 1)) ** 2
-        elif kind == "inert":
-            out *= p ** (2 * (k - 1)) * (p * p - 1)
-        else:
-            out *= p ** (2 * k - 1) * (p - 1)
+    for p, v in exponents.items():
+        for place in _splitting(field, p):
+            q, n = p ** place.degree, v * place.e
+            out *= q ** (n - 1) * (q - 1)
     return out

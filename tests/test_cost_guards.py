@@ -18,21 +18,31 @@ no divisor over the normalization is built.
 The Chow layer: ``relations`` is left unbuilt until read, ``find-trivial``
 builds the Chow group it found once, and its search maps each candidate by
 one ``member``, with no SNF solver, and maps nothing for an even |Cl|.
+
+The class-group build reduces each candidate and each product once, since
+its class keys are the forms it composes, and keeps one form per class.
+``order-info`` builds no group per conductor prime.
 """
 
+import gc
+import io
 import json
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from chowkit import abgroup, chow, cli, declared, ntheory, orders, quadfield
 from chowkit.abgroup import AbelianGroup
 from chowkit.declared import DeclaredField, declared_order, parse_declared, serialize_declared
+from chowkit.ntheory import primes_below
 from chowkit.quadfield import (
     ClassGroupData,
     QElement,
     QIdeal,
     class_group,
+    class_prime_bound,
     element_divisor,
     is_principal,
     make_field,
@@ -417,3 +427,73 @@ def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):
     assert orders.divisor_kernel_witness(order) is not None
     assert resolved == []
     assert LEVEL_NORMALIZATION not in levels
+
+
+# h = 1268, spanned by the classes of 1 + 64 candidate forms
+BIG_IMAGINARY = -889151
+
+
+def test_class_group_reduces_each_form_once(monkeypatch):
+    """A fresh build reduces the unit form, each candidate and each product
+    once; a build that reduced every product twice made 3306 calls."""
+    F = make_field(BIG_IMAGINARY)
+    candidates = sum(1 for p in primes_below(class_prime_bound(F.d) + 1)
+                     if splitting(F, p)[0].kind != "inert")
+    reductions = []
+    compositions = []
+    original_reduce, original_compose = quadfield._reduce_imag, quadfield._compose
+
+    def counting_reduce(form):
+        reductions.append(form)
+        return original_reduce(form)
+
+    def counting_compose(f1, f2, d):
+        compositions.append(d)
+        return original_compose(f1, f2, d)
+
+    monkeypatch.setattr(quadfield, "_CLASS_CACHE", {})
+    monkeypatch.setattr(quadfield, "_reduce_imag", counting_reduce)
+    monkeypatch.setattr(quadfield, "_compose", counting_compose)
+    assert class_group(F).cardinality() == 1268
+    assert candidates == 64
+    assert len(reductions) <= len(compositions) + candidates + 1
+
+
+def test_class_group_build_memory(monkeypatch):
+    """One form per class: the build's tracemalloc peak stays below 320 KiB
+    (287 KiB on CPython 3.11), where a table of representatives beside the
+    keys took 571 KiB, measured the same way."""
+    F = make_field(BIG_IMAGINARY)
+    monkeypatch.setattr(quadfield, "_CLASS_CACHE", {})
+    gc.collect()  # also empties the free lists, whose reuse tracemalloc does not see
+    tracemalloc.start()
+    try:
+        class_group(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * 1024
+
+
+def test_order_info_builds_no_group_per_prime(monkeypatch, tmp_path):
+    """``order-info --order all`` prints each local Chow group Z/g from g,
+    so the number of AbelianGroups it builds does not grow with the primes."""
+    built = []
+    original = AbelianGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(len(args[0]))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AbelianGroup, "__init__", counting)
+    counts = []
+    for n in (N_PRIMES // 3, N_PRIMES):
+        path = tmp_path / f"f{n}.decl"
+        decl = random_declared_field(random.Random(150), n, (2, 6, 12))
+        path.write_text(serialize_declared(decl))
+        del built[:]
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["order-info", "--data", str(path), "--order", "all"]) == 0
+        assert out.getvalue().count("local Chow: Z/") > 0
+        counts.append(len(built))
+    assert counts[0] == counts[1]

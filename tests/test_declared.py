@@ -141,13 +141,11 @@ def test_declared_order_fabric():
     assert sum(l * d for l, d in zip(prime.lambdas,
                                      [pl.degree for pl in prime.places])) == 1
     # biquad: one prime with d = (2, 2) and g = 2; the quintic local parts
-    from chowkit.orders import local_chow
-
     biquad = load_declared(BIQUAD)
     (bp,) = declared_order(biquad, ["main"]).primes
     assert [pl.degree for pl in bp.places] == [2, 2] and bp.g == 2
-    assert local_chow(declared_order(quintic, ["p1"]), 0).invariant_factors == (2,)
-    assert local_chow(declared_order(quintic, ["p2"]), 0).invariant_factors == (3,)
+    assert declared_order(quintic, ["p1"]).primes[0].g == 2
+    assert declared_order(quintic, ["p2"]).primes[0].g == 3
 
 
 def test_backend_equivalence_sample():

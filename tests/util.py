@@ -4,7 +4,13 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from chowkit import FieldInputError, make_field
-from chowkit.abgroup import element_order, quotient, solve_combination, subgroup_quotient
+from chowkit.abgroup import (
+    AbelianGroup,
+    element_order,
+    quotient,
+    solve_combination,
+    subgroup_quotient,
+)
 from chowkit.chow import chow_group
 from chowkit.declared import DeclaredField, DeclaredPlace, declared_order
 from chowkit.orders import (
@@ -17,7 +23,19 @@ from chowkit.orders import (
     resolve_place,
 )
 from chowkit.ntheory import egcd, factorize, primes_below
-from chowkit.quadfield import QElement, QIdeal, class_group, fundamental_unit, splitting
+from chowkit.quadfield import (
+    QElement,
+    QIdeal,
+    _compose,
+    _reduce_imag,
+    _reduce_real,
+    _rho_real,
+    class_group,
+    class_prime_bound,
+    fundamental_unit,
+    principal_ideal,
+    splitting,
+)
 
 
 def fundamental_discriminants(bound, sign=None):
@@ -513,3 +531,86 @@ def witness_ideal_by_labels(order):
         return None
     m, g = min(pairs, key=lambda pair: pair[0])
     return ideal_by_labels(order.field, m * g)
+
+
+def class_group_by_reps(field):
+    """The class-group build that keyed each class by a reduced form (d < 0)
+    or the least form of its rho cycle (d > 0) and kept, in a separate
+    ``reps`` dict, a reduced form with a > 0 to compose with; every product
+    was reduced, then keyed.  The reference for ``quadfield.class_group``.
+
+    Returns (group, dlog): the class group on the span's generators and the
+    map from an ideal to its class in it.
+    """
+    d = field.d
+    sd = isqrt(d) if d > 0 else 0
+
+    def reduced(form):
+        if d < 0:
+            return _reduce_imag(form)
+        form = _reduce_real(d, sd, form)
+        return _rho_real(d, sd, form) if form[0] < 0 else form
+
+    def key(form):
+        if d < 0:
+            return _reduce_imag(form)
+        start = _reduce_real(d, sd, form)
+        cycle, f = [start], _rho_real(d, sd, start)
+        while f != start:
+            cycle.append(f)
+            f = _rho_real(d, sd, f)
+        return min(cycle)
+
+    candidates = []
+    for p in primes_below(class_prime_bound(d) + 1):
+        place = splitting(field, p)[0]
+        if place.kind != "inert":
+            candidates.append(place.ideal().form())
+    if d > 0:
+        candidates.append(principal_ideal(field.sqrt_disc()).form())
+
+    one = reduced((1, d, (d * d - d) // 4))
+    table, reps, gens, rels = {key(one): ()}, {key(one): one}, [], []
+    for form in candidates:
+        cand = reduced(form)
+        if key(cand) in table:
+            continue
+        idx, chain, power = len(gens), [], cand
+        while key(power) not in table:
+            chain.append(power)
+            power = reduced(_compose(power, cand, d))
+        r = len(chain) + 1
+        base = table[key(power)]
+        new_entries = {}
+        for k_old, coords in table.items():
+            for t in range(1, r):
+                prod = reduced(_compose(reps[k_old], chain[t - 1], d))
+                kk = key(prod)
+                new_entries[kk] = coords + (0,) * (idx - len(coords)) + (t,)
+                reps[kk] = prod
+        table.update(new_entries)
+        gens.append(cand)
+        rels.append((idx, r, base))
+    n = len(gens)
+    rows = []
+    for idx, r, base in rels:
+        row = [0] * n
+        row[idx] = r
+        for j, v in enumerate(base):
+            row[j] -= v
+        rows.append(row)
+    table = {k: v + (0,) * (n - len(v)) for k, v in table.items()}
+
+    group = narrow = quotient(n, rows)
+    if d > 0:
+        t = narrow.member(table[key(candidates[-1])]).coords
+        k = narrow.rank
+        moduli = [[m if i == j else 0 for i in range(k)]
+                  for j, m in enumerate(narrow.invariant_factors)]
+        wide = quotient(k, moduli + [list(t)])
+        group = AbelianGroup(
+            wide.invariant_factors,
+            basis_change=narrow.basis_change @ wide.basis_change,
+            generator_lifts=wide.generator_lifts @ narrow.generator_lifts,
+        )
+    return group, lambda ideal: group.member(table[key(ideal.form())])
