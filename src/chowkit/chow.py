@@ -13,11 +13,14 @@ and Chow(O) = G/R.  Cl/N comes from a Hermite basis of N (Cohen, GTM 138,
 Sec. 2.4.2): the N generators, one per place, are reduced into at most
 rank(Cl) rows as they arrive, and the reduction stops once N = Cl, so the
 Smith normal form of Cl/N never sees one row per place.  [Q_i] takes few
-distinct values, and each is mapped to Cl/N once.  A prime with g_i = 1 has
-the relation p_i = [Q_i], so its generator and its relation are eliminated
-before the Smith normal form of G/R, which then sees only the primes with
-g_i > 1 and the generators of Cl/N; the unreduced R is built only when
-read.  The same data yields the exact-sequence decomposition
+distinct values, and each is mapped to Cl/N once.  G/R is split along the
+exact sequence Cl/N -> Chow(O) -> sum Z/g_i: a prime with g_i = 1 has the
+relation p_i = [Q_i] and is eliminated, one with [Q_i] = 0 in Cl/N splits
+off Z/g_i, and primes with equal (g_i, [Q_i]) split off Z/g_i after the
+first, so the Smith normal form sees only one prime per distinct pair with
+[Q_i] != 0 and the generators of Cl/N.  The parts are merged into invariant
+factors over a coprime base of their orders; the unreduced R is built only
+when read.  The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
 check against the kernel subgroup, and finally a principal-ideal generator
@@ -37,6 +40,7 @@ from .abgroup import (
     AbelianGroup,
     GroupElement,
     IntMatrix,
+    cyclic_sum,
     direct_sum_invariants,
     element_order,
     quotient,
@@ -70,9 +74,9 @@ class ChowPresentation:
     """Chow group as a quotient G/R, with a divisor projection.
 
     ``result`` is G/R presented on all r + k generators (``user_rank``):
-    the primes p_i, then the generators of Cl/N.  When a prime with g_i = 1
-    is eliminated its transforms differ from those of the Smith normal form
-    of the unreduced G/R matrix: the group, ``project`` up to that
+    the primes p_i, then the generators of Cl/N.  Its transforms come from
+    the split of G/R that ``chow_group`` makes, not from the Smith normal
+    form of the unreduced G/R matrix: the group, ``project`` up to that
     isomorphism, and every CLI output are the same.  ``relations``, the
     unreduced R, is built only when read.
     """
@@ -110,55 +114,114 @@ class ChowPresentation:
 
 
 def chow_group(order: OrderData) -> ChowPresentation:
-    """Chow group of the order via the G/R presentation.
+    """Chow group of the order via the G/R presentation, split along the
+    exact sequence Cl/N -> Chow(O) -> sum Z/g_i.
 
-    A prime with g_i = 1 has the relation p_i = [Q_i], so its generator and
-    its relation are eliminated before the Smith normal form, which then
-    sees the moduli of Cl/N and the rows (g_i p_i, -qbar_i) of the primes
-    with g_i > 1, qbar_i being the image of [Q_i] in Cl/N: #{g_i > 1} +
-    rank(Cl/N) columns.  The result's transforms are rebuilt for all r + k
-    generators: row p_i of ``basis_change`` of an eliminated prime is the
-    image of qbar_i, and its coordinate in every generator lift is 0.
+    * A prime with g_i = 1 has the relation p_i = qbar_i, qbar_i the image
+      of [Q_i] in Cl/N, so its generator and its relation are eliminated:
+      its row of ``basis_change`` is the image of qbar_i, and its
+      coordinate in every generator lift is 0.
+    * A prime with g_i > 1 and qbar_i = 0 splits off Z/g_i on p_i.
+    * Primes with the same (g, qbar), qbar != 0, have the same relation, so
+      after the first of them, p_rep, each further p_j gives the unimodular
+      change p_j - p_rep, which splits off Z/g.
+    * The Smith normal form (``quotient``) sees the rest: the moduli of
+      Cl/N and one row (g p_rep, -qbar) per distinct pair, #{distinct
+      (g, qbar), qbar != 0} + rank(Cl/N) columns.  On a quadratic order
+      every prime with g_i > 1 is inert, so qbar_i = 0 and only Cl/N is
+      left.
+
+    ``cyclic_sum`` merges the split-off parts and the factors of that
+    quotient into one divisibility chain, and the result's transforms are
+    built from its maps for all r + k generators.
     """
     cl, q_classes, n_gens = order.fabric
     cl_mod_n = subgroup_quotient(cl, n_gens)
     k = cl_mod_n.rank
-    # [Q_i] takes few distinct values: map each one to Cl/N once
-    image = {c: cl_mod_n.member(c).coords
-             for c in dict.fromkeys(q.coords for q in q_classes)}
+    r = len(order.primes)
+    # [Q_i] takes few distinct values: map each one to Cl/N once, unless
+    # Cl/N is trivial and every image is ()
+    distinct = dict.fromkeys(q.coords for q in q_classes)
+    image = ({c: cl_mod_n.member(c).coords for c in distinct} if k
+             else dict.fromkeys(distinct, ()))
     qbars = [image[q.coords] for q in q_classes]
-    kept = [i for i, prime in enumerate(order.primes) if prime.g > 1]
-    s = len(kept)
-    rows = [[0] * (s + j) + [dmod] + [0] * (k - j - 1)
+    reps = {}    # (g, qbar) with qbar != 0 -> its first prime
+    split = []   # (i, rep): Z/g_i on p_i (rep None) or on p_i - p_rep
+    for i, prime in enumerate(order.primes):
+        if prime.g == 1:
+            continue
+        if any(qbars[i]):
+            rep = reps.setdefault((prime.g, qbars[i]), i)
+            if rep != i:
+                split.append((i, rep))
+        else:
+            split.append((i, None))
+    sent = list(reps.values())
+    t = len(sent)
+    rows = [[0] * (t + j) + [dmod] + [0] * (k - j - 1)
             for j, dmod in enumerate(cl_mod_n.invariant_factors)]
-    for t, i in enumerate(kept):
-        row = [0] * s + [-c for c in qbars[i]]
-        row[t] = order.primes[i].g
+    for pos, i in enumerate(sent):
+        row = [0] * t + [-c for c in qbars[i]]
+        row[pos] = order.primes[i].g
         rows.append(row)
-    result = _expand_presentation(quotient(s + k, rows), len(order.primes),
-                                  kept, qbars)
-    return ChowPresentation(order, q_classes, cl_mod_n, result)
+    rest = quotient(t + k, rows)
+    n_rest = rest.rank
+    factors, slots = cyclic_sum(
+        rest.invariant_factors + tuple(order.primes[i].g for i, _ in split))
+    rank = len(factors)
 
+    # coordinates: summand l of the cyclic sum goes to the factors of spread[l]
+    spread = [[] for _ in range(n_rest + len(split))]
+    for j, slot in enumerate(slots):
+        for l, u, _ in slot:
+            spread[l].append((j, u))
 
-def _expand_presentation(reduced, r, kept, qbars):
-    """The quotient ``reduced``, presented on the primes ``kept`` and the k
-    generators of Cl/N, with transforms for all r + k generators: an
-    eliminated prime p_i maps to the image of qbar_i and lifts to 0."""
-    s = len(kept)
-    k = reduced.user_rank - s
-    pos = {i: t for t, i in enumerate(kept)}
-    basis = reduced.basis_change.tolists()
-    cl_rows = IntMatrix(basis[s:], cols=reduced.rank)
-    moved = {qbar: cl_rows.mul_vec(qbar) for qbar in dict.fromkeys(qbars)}
-    prime_rows = [basis[pos[i]] if i in pos else moved[qbar]
-                  for i, qbar in enumerate(qbars)]
-    lifts = [[lift[pos[i]] if i in pos else 0 for i in range(r)] + lift[s:]
-             for lift in reduced.generator_lifts.tolists()]
-    return AbelianGroup(
-        reduced.invariant_factors,
-        basis_change=IntMatrix(prime_rows + basis[s:], cols=reduced.rank),
+    def coordinates(x):
+        """Final coordinates of a vector x over the factors of ``rest``."""
+        row = [0] * rank
+        for l, c in enumerate(x):
+            if c:
+                for j, u in spread[l]:
+                    row[j] += c * u
+        return [a % d for a, d in zip(row, factors)]
+
+    rest_rows = [coordinates(x) for x in rest.basis_change.tolists()]
+    cl_rows = IntMatrix(rest_rows[t:], cols=rank)
+    # tuples, so that ``IntMatrix`` shares one row among the primes of a qbar
+    moved = {qbar: tuple([a % d for a, d in zip(cl_rows.mul_vec(qbar), factors)])
+             for qbar in dict.fromkeys(qbars)}
+    prime_rows = [moved[qbar] for qbar in qbars]
+    for i, row in zip(sent, rest_rows):
+        prime_rows[i] = row
+    for l, (i, rep) in enumerate(split, n_rest):
+        row = list(prime_rows[rep]) if rep is not None else [0] * rank
+        for j, u in spread[l]:
+            row[j] = (row[j] + u) % factors[j]
+        prime_rows[i] = row
+
+    # generator lifts: summand l of ``rest`` lifts through its own lift, a
+    # split-off part to p_i or p_i - p_rep
+    columns = sent + list(range(r, r + k))
+    rest_lifts = rest.generator_lifts.tolists()
+    lifts = []
+    for slot in slots:
+        lift = [0] * (r + k)
+        for l, _, v in slot:
+            if l < n_rest:
+                for col, c in zip(columns, rest_lifts[l]):
+                    lift[col] += v * c
+            else:
+                i, rep = split[l - n_rest]
+                lift[i] += v
+                if rep is not None:
+                    lift[rep] -= v
+        lifts.append(lift)
+    result = AbelianGroup(
+        factors,
+        basis_change=IntMatrix(prime_rows + rest_rows[t:], cols=rank),
         generator_lifts=IntMatrix(lifts, cols=r + k),
     )
+    return ChowPresentation(order, q_classes, cl_mod_n, result)
 
 
 @dataclass

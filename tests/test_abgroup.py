@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -12,6 +12,7 @@ from chowkit.abgroup import (
     AbelianGroup,
     IntMatrix,
     bezout_gcd,
+    cyclic_sum,
     direct_sum_invariants,
     element_order,
     quotient,
@@ -19,7 +20,11 @@ from chowkit.abgroup import (
     solve_combination,
     subgroup_quotient,
 )
-from util import enumerate_subgroup_order, subgroup_quotient_by_raw_rows
+from util import (
+    bezout_gcd_by_rescaling,
+    enumerate_subgroup_order,
+    subgroup_quotient_by_raw_rows,
+)
 
 
 def diag_of(D):
@@ -175,6 +180,19 @@ def test_bezout_identity_random():
         assert all(v % g == 0 for v in vals)
 
 
+def test_bezout_matches_rescaling_fold():
+    """Same g and lambdas as the fold that rescales in place, on every list
+    of length 1 to 4 with entries in -6..6, not all zero: the lambdas fix
+    the classes [Q_i], so they must not change."""
+    n = 0
+    for length in range(1, 5):
+        for values in product(range(-6, 7), repeat=length):
+            if any(values):
+                assert bezout_gcd(list(values)) == bezout_gcd_by_rescaling(values), values
+                n += 1
+    assert n == sum(13 ** k for k in range(1, 5)) - 4
+
+
 def test_solve_combination():
     G = quotient(2, [[4, 0], [0, 6]])
     a = G.member([1, 0])
@@ -198,8 +216,8 @@ def test_direct_sum_invariants():
 
 
 def test_direct_sum_invariants_against_quotient():
-    """gcd/lcm merging against the SNF of the diagonal (``quotient``), on
-    random lists with 0 and 1 entries."""
+    """The coprime-base merge against the SNF of the diagonal
+    (``quotient``), on random lists with 0 and 1 entries."""
     rng = random.Random(2026)
     for _ in range(400):
         lists = [[rng.choice((0, 1, 1, 2, 3, 4, 6, 8, 9, 12, 30, rng.randint(0, 300)))
@@ -210,6 +228,30 @@ def test_direct_sum_invariants_against_quotient():
         rows = [[d if j == i else 0 for j in range(n)]
                 for i, d in enumerate(moduli) if d]
         assert direct_sum_invariants(*lists) == quotient(n, rows).invariant_factors, lists
+
+
+def test_cyclic_sum_maps_are_inverse():
+    """On random moduli, shared prime factors and large coprime ones among
+    them: the factors are those of the diagonal's SNF, their product is
+    that of the moduli, and the coordinate maps (u) send each generator
+    (v) to its own unit vector, so the two forms are isomorphic."""
+    rng = random.Random(20)
+    for _ in range(300):
+        moduli = [rng.choice((2, 3, 4, 6, 8, 9, 12, 36, 1009 * 2, 1009 * 1013,
+                              rng.randint(2, 500)))
+                  for _ in range(rng.randint(0, 7))]
+        factors, slots = cyclic_sum(moduli)
+        n = len(moduli)
+        rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(moduli)]
+        assert factors == quotient(n, rows).invariant_factors, moduli
+        assert prod(factors) == prod(moduli)
+        for j, slot in enumerate(slots):
+            generator = [0] * n
+            for i, _, v in slot:
+                generator[i] = v
+            for jj, (d, other) in enumerate(zip(factors, slots)):
+                coord = sum(u * generator[i] for i, u, _ in other) % d
+                assert coord == (1 if jj == j else 0), (moduli, j, jj)
 
 
 def test_basis_change_and_lifts_are_sections():

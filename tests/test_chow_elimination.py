@@ -1,19 +1,25 @@
-"""Elimination of the g_i = 1 primes in ``chow_group``, against the full
-(r + k)-column G/R presentation (``util.chow_by_full_presentation``)."""
+"""``chow_group``, which eliminates the g_i = 1 primes, splits off Z/g_i
+for the rest and sends one prime per distinct (g_i, qbar_i != 0) to the
+Smith normal form, against the full (r + k)-column G/R presentation
+(``util.chow_by_full_presentation``), and against the same order on the
+other backend."""
 
 import random
+from math import gcd
 
 import pytest
 
 from chowkit.abgroup import element_order
 from chowkit.chow import chow_group, exact_sequence_data
-from chowkit.declared import declared_order
+from chowkit.declared import declared_order, parse_declared, serialize_declared
 from chowkit.orders import LEVEL_ORDER, Divisor, order_from_conductor
 from chowkit.quadfield import make_field
 from util import (
     chow_by_full_presentation,
     fabric_by_group_arithmetic,
+    fundamental_discriminants,
     random_declared_field,
+    transcribe_to_declared,
 )
 
 # (d, f) of both signs; 5 is inert in Q(sqrt(-23)), 3 in Q(sqrt(-4)) and in
@@ -64,6 +70,17 @@ def _declared_cases():
                 ((2, 4), (1,), False),
                 ((), (1, 2, 3), False)):          # trivial class group
             out.append(random_declared_field(rng, n_primes, chain, g_values, uniform))
+    # the split paths: with one class image per record Cl/N = Cl, so most
+    # qbar_i are nonzero; few classes and g_i in {2, 3, 4, 6} repeat the
+    # pairs (g_i, qbar_i), and the class invariants share primes with g_i
+    for n_primes in (12, 60):
+        for chain, g_values, uniform in (
+                ((2,), (2,), True),
+                ((2, 6), (2, 3, 4, 6), True),
+                ((4, 8), (1, 2, 4, 6), True),
+                ((3, 9), (3, 6), True),
+                ((6, 36), (2, 3, 4, 6), False)):
+            out.append(random_declared_field(rng, n_primes, chain, g_values, uniform))
     return out
 
 
@@ -78,6 +95,44 @@ def test_declared_orders_match_full_presentation():
         seen.add((pres.cl_mod_n.is_trivial(),
                   all(p.g == 1 for p in order.primes)))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_declared_cases_reach_every_split_path():
+    """Some case repeats a pair (g_i, qbar_i != 0), has g_i = 4 and 6,
+    sends a prime to the Smith normal form whose g_i shares a prime with
+    the moduli of Cl/N, and splits off Z/g_i with qbar_i = 0."""
+    repeated = shared = zero = False
+    gs = set()
+    for decl in _declared_cases():
+        order = declared_order(decl, decl.prime_labels)
+        pres = chow_group(order)
+        pairs = [(p.g, pres.cl_mod_n.member(q.coords).coords)
+                 for p, q in zip(order.primes, pres.q_classes) if p.g > 1]
+        gs.update(g for g, _ in pairs)
+        sent = [(g, qbar) for g, qbar in pairs if any(qbar)]
+        repeated |= len(set(sent)) < len(sent)
+        zero |= len(sent) < len(pairs)
+        moduli = pres.cl_mod_n.invariant_factors
+        shared |= any(gcd(g, m) > 1 for g, _ in sent for m in moduli)
+    assert repeated and shared and zero
+    assert {2, 3, 4, 6} <= gs
+
+
+def test_quadratic_orders_written_out_as_declared_files():
+    """Differential oracle: a seeded sample of the orders Z + f*O~ with
+    |d| < 700 and f = 2..39, each written out as a declared file (the class
+    group's invariants, and ``dlog`` of each place as its class image) and
+    parsed back, has the same Cl/N and Chow group on both backends."""
+    grid = [(d, f) for d in fundamental_discriminants(699) for f in range(2, 40)]
+    for d, f in random.Random(700).sample(grid, 1500):
+        order = order_from_conductor(make_field(d), f)
+        text = serialize_declared(transcribe_to_declared(order).declared)
+        decl = parse_declared(text)
+        declared = chow_group(declared_order(decl, decl.prime_labels))
+        pres = chow_group(order)
+        assert declared.result.invariant_factors == pres.result.invariant_factors, (d, f)
+        assert declared.cl_mod_n.invariant_factors == pres.cl_mod_n.invariant_factors, (d, f)
+        _check_sections(declared)
 
 
 @pytest.mark.parametrize("d, f", QUADRATIC)

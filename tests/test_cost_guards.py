@@ -15,9 +15,11 @@ The principal lift and the kernel witness: each invertible label is
 resolved once, no place over the conductor is resolved from its label, and
 no divisor over the normalization is built.
 
-The Chow layer: ``relations`` is left unbuilt until read, ``find-trivial``
-builds the Chow group it found once, and its search maps each candidate by
-one ``member``, with no SNF solver, and maps nothing for an even |Cl|.
+The Chow layer: the G/R quotient gets one column per distinct pair
+(g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
+unbuilt until read, ``find-trivial`` builds the Chow group it found once,
+and its search maps each candidate by one ``member``, with no SNF solver,
+and maps nothing for an even |Cl|.
 
 The class-group build reduces each candidate and each product once, since
 its class keys are the forms it composes, and keeps one form per class.
@@ -81,9 +83,35 @@ def test_chow_quotient_sees_only_primes_with_g_above_1(monkeypatch, uniform):
     monkeypatch.setattr(chow, "quotient", counting)
     pres = chow.chow_group(order)
     wide = sum(1 for p in order.primes if p.g > 1)
-    assert widths == [wide + pres.cl_mod_n.rank]
+    qbars = [pres.cl_mod_n.member(q.coords).coords for q in pres.q_classes]
+    sent = {(p.g, qbar) for p, qbar in zip(order.primes, qbars)
+            if p.g > 1 and any(qbar)}
+    assert widths == [len(sent) + pres.cl_mod_n.rank]
     assert 0 < wide < N_PRIMES
     assert pres.result.user_rank == N_PRIMES + pres.cl_mod_n.rank
+
+
+def test_chow_quotient_of_2400_primes_is_no_wider_than_cl_mod_n(monkeypatch):
+    """2400 primes with per-place class images: N = Cl, so Cl/N is trivial,
+    every qbar_i is 0, and every prime with g_i > 1 splits off Z/g_i
+    without reaching the Smith normal form, which a dense G/R quotient of
+    several hundred columns would need."""
+    decl = random_declared_field(random.Random(2400), 2400, (2, 6, 12))
+    order = declared_order(decl, decl.prime_labels)
+    widths = []
+    original = chow.quotient
+
+    def counting(n, rows):
+        widths.append(n)
+        return original(n, rows)
+
+    monkeypatch.setattr(chow, "quotient", counting)
+    pres = chow.chow_group(order)
+    k = pres.cl_mod_n.rank
+    assert k == 0 and not order.class_group().is_trivial()
+    assert all(n <= k for n in widths)
+    assert sum(1 for p in order.primes if p.g > 1) > 1000
+    assert pres.result.user_rank == 2400
 
 
 def test_declared_fabric_calls_no_member(monkeypatch):

@@ -427,6 +427,32 @@ def chow_by_full_presentation(order):
     return quotient(r + k, rows)
 
 
+def bezout_gcd_by_rescaling(values):
+    """The left fold of ``abgroup.bezout_gcd`` as first written: each fold
+    step rescales every earlier lambda in place.  The reference for the
+    fold that defers the rescaling."""
+    values = [int(v) for v in values]
+    if not any(values):
+        raise ValueError("need at least one nonzero value")
+    g = 0
+    lambdas = [0] * len(values)
+    for i, v in enumerate(values):
+        if v == 0:
+            continue
+        if g == 0:
+            g = abs(v)
+            lambdas[i] = 1 if v > 0 else -1
+            continue
+        if v % g == 0:
+            continue
+        g2, s, t = egcd(g, v)
+        for j in range(i):
+            lambdas[j] *= s
+        lambdas[i] = t
+        g = g2
+    return g, lambdas
+
+
 def find_trivial_by_scan(field, prime_budget):
     """Conductor f with Chow(Z + f*O~) trivial by scanning every prime up to
     the budget, whatever |Cl|: a split prime is kept when 2[P] is outside
