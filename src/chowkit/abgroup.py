@@ -19,18 +19,20 @@ reads:
   * ``smith_normal_form``: U and V in full, never V^-1.
 ``cyclic_sum`` needs no SNF: a direct sum of cyclic groups is put in
 invariant-factor form over a coprime base of its moduli, built from gcds
-only, with the CRT maps between the two forms; ``direct_sum_invariants``
-reads its factors.  ``subgroup_quotient`` first reduces its generators into
-an upper-triangular (Hermite) basis, one at a time, and stops once every
-pivot is 1 (Cohen, GTM 138, Sec. 2.4.2), so its SNF sees at most rank(G)
-rows however many generators there are.
+only, with the CRT map from the summands' coordinates to the factors';
+``direct_sum_invariants`` reads its factors.  ``subgroup_quotient`` first
+reduces its generators into an upper-triangular (Hermite) basis, one at a
+time, and stops once every pivot is 1 (Cohen, GTM 138, Sec. 2.4.2), so its
+SNF sees at most rank(G) rows however many generators there are.
 
 Conventions:
   * invariant factors are listed as d_1 | d_2 | ... with every d_i >= 2,
     followed by 0 entries for free summands; factors equal to 1 are dropped;
   * a group remembers the presentation it came from: ``basis_change`` maps
     row vectors in the original generator coordinates to invariant-factor
-    coordinates, ``generator_lifts`` goes the other way (one row per factor).
+    coordinates, ``generator_lifts`` goes the other way (one row per
+    factor).  A group given no presentation has the identity for both; one
+    given a ``basis_change`` and no lifts has ``generator_lifts`` None.
 
 All arithmetic is on Python integers, so nothing overflows.
 """
@@ -321,10 +323,15 @@ class AbelianGroup:
                 raise ValueError(f"divisibility chain broken at {factors[i - 1]} | {d}")
         self.invariant_factors = factors
         k = len(factors)
-        self.basis_change = IntMatrix.identity(k) if basis_change is None else basis_change
-        self.generator_lifts = IntMatrix.identity(k) if generator_lifts is None else generator_lifts
-        if self.basis_change.cols != k or self.generator_lifts.rows != k:
+        if basis_change is None:
+            basis_change = IntMatrix.identity(k)
+            if generator_lifts is None:
+                generator_lifts = basis_change
+        if basis_change.cols != k or (generator_lifts is not None
+                                      and generator_lifts.rows != k):
             raise ValueError("transform shape mismatch")
+        self.basis_change = basis_change
+        self.generator_lifts = generator_lifts
 
     @property
     def rank(self):
@@ -631,27 +638,24 @@ def _coprime_base(values):
 
 def cyclic_sum(moduli):
     """Invariant factors of Z/n_1 + ... + Z/n_m (every n_i >= 2), with the
-    maps between the two forms.
+    map from the summands' coordinates to those of the factors.
 
     Over a coprime base B of the moduli (``_coprime_base``), Z/n_i is the
     sum of its parts Z/b^e, b^e || n_i, by the Chinese remainder theorem.
     For each b in B the parts are sorted by exponent, largest first, and
     the t-th largest factor is the product of the t-th parts of all b, so
     the factors form a divisibility chain.  Returns (factors, slots), the
-    factors ascending and slots[j] a list of (i, u, v) over the summands i
-    with a part in factor j:
-      * coordinate j of an element is sum(u * x_i) mod d_j, x_i its
-        coordinate in Z/n_i (u is 1 mod each part, 0 mod the rest of d_j);
-      * generator j is sum(v * e_i), e_i the generator of Z/n_i (v is 1
-        mod each part, 0 mod the rest of n_i).
-    The cost is one pass over the summands per base element, whatever the
-    number of merges.
+    factors ascending and slots[j] a list of (i, u) over the summands i
+    with a part in factor j: coordinate j of an element is sum(u * x_i)
+    mod d_j, x_i its coordinate in Z/n_i (u is 1 mod each part, 0 mod the
+    rest of d_j).  The cost is one pass over the summands per base element,
+    whatever the number of merges.
 
     >>> factors, slots = cyclic_sum([4, 6, 2])
     >>> factors
     (2, 2, 12)
     >>> slots[2]
-    [(0, 9, 1), (1, 4, 4)]
+    [(0, 9), (1, 4)]
     """
     distinct = list(dict.fromkeys(moduli))
     base = _coprime_base(distinct)
@@ -678,11 +682,10 @@ def cyclic_sum(moduli):
         d = prod(q for q, _ in slot)
         maps = {}
         for q, i in slot:
-            u, v = maps.get(i, (0, 0))
-            rest_d, rest_n = d // q, moduli[i] // q
-            maps[i] = (u + rest_d * pow(rest_d, -1, q), v + rest_n * pow(rest_n, -1, q))
+            rest = d // q
+            maps[i] = maps.get(i, 0) + rest * pow(rest, -1, q)
         factors.append(d)
-        slots.append([(i, u % d, v % moduli[i]) for i, (u, v) in sorted(maps.items())])
+        slots.append([(i, u % d) for i, u in sorted(maps.items())])
     return tuple(factors), slots
 
 

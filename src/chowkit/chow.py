@@ -74,11 +74,12 @@ class ChowPresentation:
     """Chow group as a quotient G/R, with a divisor projection.
 
     ``result`` is G/R presented on all r + k generators (``user_rank``):
-    the primes p_i, then the generators of Cl/N.  Its transforms come from
-    the split of G/R that ``chow_group`` makes, not from the Smith normal
-    form of the unreduced G/R matrix: the group, ``project`` up to that
-    isomorphism, and every CLI output are the same.  ``relations``, the
-    unreduced R, is built only when read.
+    the primes p_i, then the generators of Cl/N.  Its ``basis_change``
+    comes from the split of G/R that ``chow_group`` makes, not from the
+    Smith normal form of the unreduced G/R matrix: the group, ``project``
+    up to that isomorphism, and every CLI output are the same.  It has no
+    ``generator_lifts``.  ``relations``, the unreduced R, is built only
+    when read.
     """
 
     order: OrderData
@@ -119,8 +120,7 @@ def chow_group(order: OrderData) -> ChowPresentation:
 
     * A prime with g_i = 1 has the relation p_i = qbar_i, qbar_i the image
       of [Q_i] in Cl/N, so its generator and its relation are eliminated:
-      its row of ``basis_change`` is the image of qbar_i, and its
-      coordinate in every generator lift is 0.
+      its row of ``basis_change`` is the image of qbar_i.
     * A prime with g_i > 1 and qbar_i = 0 splits off Z/g_i on p_i.
     * Primes with the same (g, qbar), qbar != 0, have the same relation, so
       after the first of them, p_rep, each further p_j gives the unimodular
@@ -132,13 +132,12 @@ def chow_group(order: OrderData) -> ChowPresentation:
       left.
 
     ``cyclic_sum`` merges the split-off parts and the factors of that
-    quotient into one divisibility chain, and the result's transforms are
-    built from its maps for all r + k generators.
+    quotient into one divisibility chain, and the result's ``basis_change``
+    is built from its coordinate maps for all r + k generators.
     """
     cl, q_classes, n_gens = order.fabric
     cl_mod_n = subgroup_quotient(cl, n_gens)
     k = cl_mod_n.rank
-    r = len(order.primes)
     # [Q_i] takes few distinct values: map each one to Cl/N once, unless
     # Cl/N is trivial and every image is ()
     distinct = dict.fromkeys(q.coords for q in q_classes)
@@ -173,7 +172,7 @@ def chow_group(order: OrderData) -> ChowPresentation:
     # coordinates: summand l of the cyclic sum goes to the factors of spread[l]
     spread = [[] for _ in range(n_rest + len(split))]
     for j, slot in enumerate(slots):
-        for l, u, _ in slot:
+        for l, u in slot:
             spread[l].append((j, u))
 
     def coordinates(x):
@@ -199,28 +198,8 @@ def chow_group(order: OrderData) -> ChowPresentation:
             row[j] = (row[j] + u) % factors[j]
         prime_rows[i] = row
 
-    # generator lifts: summand l of ``rest`` lifts through its own lift, a
-    # split-off part to p_i or p_i - p_rep
-    columns = sent + list(range(r, r + k))
-    rest_lifts = rest.generator_lifts.tolists()
-    lifts = []
-    for slot in slots:
-        lift = [0] * (r + k)
-        for l, _, v in slot:
-            if l < n_rest:
-                for col, c in zip(columns, rest_lifts[l]):
-                    lift[col] += v * c
-            else:
-                i, rep = split[l - n_rest]
-                lift[i] += v
-                if rep is not None:
-                    lift[rep] -= v
-        lifts.append(lift)
     result = AbelianGroup(
-        factors,
-        basis_change=IntMatrix(prime_rows + rest_rows[t:], cols=rank),
-        generator_lifts=IntMatrix(lifts, cols=r + k),
-    )
+        factors, basis_change=IntMatrix(prime_rows + rest_rows[t:], cols=rank))
     return ChowPresentation(order, q_classes, cl_mod_n, result)
 
 
@@ -415,15 +394,17 @@ def pic_cardinality(order: OrderData) -> PicReport:
 
 @dataclass
 class PicChowReport:
-    surjective: bool
+    surjective: bool                 # every local Chow group Z/g_i is trivial
     injective: object                # True / False / None ("unknown")
-    reasons: tuple
     pic: PicReport = None            # None on the declared backend
 
 
 def pic_chow_report(order: OrderData) -> PicChowReport:
     """Injectivity and surjectivity of the canonical map Pic -> Chow.
 
+    The map is onto exactly when every g_i is 1.  It is not injective when
+    the push-forward kernel has a nontrivial class; otherwise it is
+    injective exactly when |Pic| = |Cl|, unknown on the declared backend.
     The report carries the order's ``pic_cardinality``, computed once here,
     so a caller that prints both needs no second unit computation.
     """
@@ -432,28 +413,12 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
         pic = pic_cardinality(order)
     except BackendError:
         pic = None
-    reasons = []
     surjective = all(p.g == 1 for p in order.primes)
-    if surjective:
-        reasons.append("all local Chow groups are trivial")
-    else:
-        bad = [p.label for p in order.primes if p.g > 1]
-        reasons.append("nontrivial local Chow group at " + ", ".join(bad))
-    kernel_trivial = all(g.is_identity() for g in n_gens)
-    if not kernel_trivial:
-        reasons.append("push-forward kernel has nontrivial classes")
-        return PicChowReport(surjective, False, tuple(reasons), pic)
+    if not all(g.is_identity() for g in n_gens):
+        return PicChowReport(surjective, False, pic)
     if pic is None:
-        reasons.append("unit data unavailable on the declared backend")
-        return PicChowReport(surjective, None, tuple(reasons))
-    h = cl.cardinality()
-    injective = pic.pic_cardinality == h
-    reasons.append(
-        f"|Pic| = {pic.pic_cardinality} and |Cl| = {h} "
-        + ("agree" if injective else "differ")
-        + "; kernel classes trivial"
-    )
-    return PicChowReport(surjective, injective, tuple(reasons), pic)
+        return PicChowReport(surjective, None)
+    return PicChowReport(surjective, pic.pic_cardinality == cl.cardinality(), pic)
 
 
 def find_trivial_chow_conductor(field: QuadField, prime_budget: int = 100):

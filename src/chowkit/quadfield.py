@@ -50,7 +50,6 @@ from .ntheory import (
     egcd,
     factorize,
     is_prime,
-    legendre,
     primes_below,
     sqrt_mod,
 )
@@ -291,9 +290,9 @@ def _splitting(field: QuadField, p: int):
         return (PrimePlace(field, 2, "ramified", 0, 1, 2, b, "2"),)
     if d % p == 0:
         return (PrimePlace(field, p, "ramified", 0, 1, 2, 0, str(p)),)
-    if legendre(d, p) == -1:
-        return (PrimePlace(field, p, "inert", 0, 2, 1, 0, str(p)),)
     r = sqrt_mod(d, p)
+    if r is None:
+        return (PrimePlace(field, p, "inert", 0, 2, 1, 0, str(p)),)
     inv2 = pow(2, -1, p)
     roots = ((d + r) * inv2 % p, (d - r) * inv2 % p)
     bs = sorted((-beta) % p for beta in roots)
@@ -704,11 +703,8 @@ def class_group(field: QuadField) -> ClassGroupData:
         moduli = [[m if i == j else 0 for i in range(k)]
                   for j, m in enumerate(narrow.invariant_factors)]
         wide = quotient(k, moduli + [list(t)])
-        group = AbelianGroup(
-            wide.invariant_factors,
-            basis_change=narrow.basis_change @ wide.basis_change,
-            generator_lifts=wide.generator_lifts @ narrow.generator_lifts,
-        )
+        group = AbelianGroup(wide.invariant_factors,
+                             basis_change=narrow.basis_change @ wide.basis_change)
 
     data = ClassGroupData(field, group, table)
     _CLASS_CACHE[d] = data

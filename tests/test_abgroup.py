@@ -233,8 +233,9 @@ def test_direct_sum_invariants_against_quotient():
 def test_cyclic_sum_maps_are_inverse():
     """On random moduli, shared prime factors and large coprime ones among
     them: the factors are those of the diagonal's SNF, their product is
-    that of the moduli, and the coordinate maps (u) send each generator
-    (v) to its own unit vector, so the two forms are isomorphic."""
+    that of the moduli, and the coordinate map (u) sends each summand's
+    modulus to 0 and its generators onto the factors, so it is an
+    isomorphism of the two forms."""
     rng = random.Random(20)
     for _ in range(300):
         moduli = [rng.choice((2, 3, 4, 6, 8, 9, 12, 36, 1009 * 2, 1009 * 1013,
@@ -245,13 +246,13 @@ def test_cyclic_sum_maps_are_inverse():
         rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(moduli)]
         assert factors == quotient(n, rows).invariant_factors, moduli
         assert prod(factors) == prod(moduli)
-        for j, slot in enumerate(slots):
-            generator = [0] * n
-            for i, _, v in slot:
-                generator[i] = v
-            for jj, (d, other) in enumerate(zip(factors, slots)):
-                coord = sum(u * generator[i] for i, u, _ in other) % d
-                assert coord == (1 if jj == j else 0), (moduli, j, jj)
+        images = [[0] * len(factors) for _ in moduli]
+        for j, (d, slot) in enumerate(zip(factors, slots)):
+            for i, u in slot:
+                assert u * moduli[i] % d == 0, (moduli, i, j)
+                images[i][j] = u
+        G = AbelianGroup(factors)
+        assert subgroup_quotient(G, [G.element(x) for x in images]).is_trivial(), moduli
 
 
 def test_basis_change_and_lifts_are_sections():

@@ -634,9 +634,6 @@ def class_group_by_reps(field):
         moduli = [[m if i == j else 0 for i in range(k)]
                   for j, m in enumerate(narrow.invariant_factors)]
         wide = quotient(k, moduli + [list(t)])
-        group = AbelianGroup(
-            wide.invariant_factors,
-            basis_change=narrow.basis_change @ wide.basis_change,
-            generator_lifts=wide.generator_lifts @ narrow.generator_lifts,
-        )
+        group = AbelianGroup(wide.invariant_factors,
+                             basis_change=narrow.basis_change @ wide.basis_change)
     return group, lambda ideal: group.member(table[key(ideal.form())])
