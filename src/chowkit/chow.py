@@ -23,8 +23,11 @@ factors over a coprime base of their orders; the unreduced R is built only
 when read.  The same data yields the exact-sequence decomposition
 (image of the push-forward, local parts Z/g_i) and drives the principal
 divisor test: membership in the push-forward image, an ideal lift, a class
-check against the kernel subgroup, and finally a principal-ideal generator
-of the corrected lift, multiplied out from the order's own places.
+check that is one membership test in the order's Cl/N (``cl_mod_n``, built
+once per order and shared with the Chow group), and finally a
+principal-ideal generator of the corrected lift, multiplied out from the
+order's own places; ``solve_combination`` only picks the kernel correction
+of that lift.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
 an odd |Cl| admits one, and then the primes below the class group's own
 prime bound suffice.
@@ -78,8 +81,9 @@ class ChowPresentation:
     comes from the split of G/R that ``chow_group`` makes, not from the
     Smith normal form of the unreduced G/R matrix: the group, ``project``
     up to that isomorphism, and every CLI output are the same.  It has no
-    ``generator_lifts``.  ``relations``, the unreduced R, is built only
-    when read.
+    ``generator_lifts``.  ``cl_mod_n`` is the order's own ``cl_mod_n``,
+    the one Cl/N that the principal test reads too.  ``relations``, the
+    unreduced R, is built only when read.
     """
 
     order: OrderData
@@ -135,8 +139,8 @@ def chow_group(order: OrderData) -> ChowPresentation:
     quotient into one divisibility chain, and the result's ``basis_change``
     is built from its coordinate maps for all r + k generators.
     """
-    cl, q_classes, n_gens = order.fabric
-    cl_mod_n = subgroup_quotient(cl, n_gens)
+    _, q_classes, _ = order.fabric
+    cl_mod_n = order.cl_mod_n
     k = cl_mod_n.rank
     # [Q_i] takes few distinct values: map each one to Cl/N once, unless
     # Cl/N is trivial and every image is ()
@@ -256,14 +260,15 @@ def principal_divisor_test(order: OrderData, D: Divisor,
 
     Steps: (1) membership in the push-forward image (g_i divides the
     coefficient at p_i); (2) lift to an ideal of the normalization using the
-    Bezout data; (3)-(4) class group and kernel generators; (5) test the
-    lift's class against the kernel subgroup; (6) correct the lift by a
-    kernel ideal, its coefficients taken as balanced residues modulo the
-    orders of their classes, and recover a generator of the corrected lift
-    by reduction (``is_principal``), within ``max_steps`` reduction and
-    cycle steps when given.  Step (6) multiplies out (``place_product``)
-    exponent vectors over the places of each prime (``bezout_vectors``) and
-    the places resolved in step (2).  Declared orders stop after step (5).
+    Bezout data; (3)-(4) class group and kernel generators; (5) the lift's
+    class must vanish in Cl/N, one ``member`` test in ``order.cl_mod_n``;
+    (6) correct the lift by a kernel ideal, its coefficients from
+    ``solve_combination`` taken as balanced residues modulo the orders of
+    their classes, and recover a generator of the corrected lift by
+    reduction (``is_principal``), within ``max_steps`` reduction and cycle
+    steps when given.  Step (6) multiplies out (``place_product``) exponent
+    vectors over the places of each prime (``bezout_vectors``) and the
+    places resolved in step (2).  Declared orders stop after step (5).
     """
     if D.level != LEVEL_ORDER:
         raise ValueError("expected a divisor over the order")
@@ -291,9 +296,9 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     for place, coeff in zip(places, invertible.values()):
         cls_a = cls_a + coeff * order.place_class(place)
 
-    # step 5: does some kernel ideal cancel the class of the lift?
-    x = solve_combination(cl, n_gens, -cls_a)
-    if x is None:
+    # step 5: some kernel ideal cancels the class of the lift exactly when
+    # that class vanishes in Cl/N
+    if not order.cl_mod_n.member(cls_a.coords).is_identity():
         return PrincipalResult(
             "not-principal", failing_step=5,
             detail="ideal class of the lift lies outside the kernel subgroup",
@@ -303,6 +308,9 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     except BackendError:
         return PrincipalResult("principal-no-generator",
                                detail="declared backend stops after the class test")
+    x = solve_combination(cl, n_gens, -cls_a)
+    if x is None:
+        raise RuntimeError("class in N without a kernel combination; bug")
 
     # step 6: the lift A = sum (a_i/g_i) Q_i + invertible part, corrected by
     # the kernel divisor B = sum x_k * gen_k, as one exponent vector.  x_k
@@ -403,18 +411,19 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
     """Injectivity and surjectivity of the canonical map Pic -> Chow.
 
     The map is onto exactly when every g_i is 1.  It is not injective when
-    the push-forward kernel has a nontrivial class; otherwise it is
-    injective exactly when |Pic| = |Cl|, unknown on the declared backend.
+    the push-forward kernel has a nontrivial class, that is when
+    |Cl/N| < |Cl|; otherwise it is injective exactly when |Pic| = |Cl|,
+    unknown on the declared backend.
     The report carries the order's ``pic_cardinality``, computed once here,
     so a caller that prints both needs no second unit computation.
     """
-    cl, _, n_gens = order.fabric
+    cl, _, _ = order.fabric
     try:
         pic = pic_cardinality(order)
     except BackendError:
         pic = None
     surjective = all(p.g == 1 for p in order.primes)
-    if not all(g.is_identity() for g in n_gens):
+    if order.cl_mod_n.cardinality() < cl.cardinality():
         return PicChowReport(surjective, False, pic)
     if pic is None:
         return PicChowReport(surjective, None)

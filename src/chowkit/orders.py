@@ -17,8 +17,9 @@ exponent e_{i,j}, and the record derives the gcd g_i of the degrees and
 deterministic Bezout coefficients lambda_{i,j} with sum(lambda * d) = g.
 Both answer ``class_group()``, ``place_class``, ``place_label``,
 ``conductor_exponent`` and ``residue_unit_order``, and the base class
-builds the cached ``fabric`` (class group, [Q_i], N generators) from them;
-that is all the Chow group and the class test of a principal divisor need.
+builds the cached ``fabric`` (class group, [Q_i], N generators) from them,
+and from that the cached ``cl_mod_n``, the order's one Cl/N; that is all the
+Chow group and the class test of a principal divisor need.
 Ideal, element and unit arithmetic needs ``order.field``, which only a
 quadratic order has: on a declared order it raises ``BackendError``.
 
@@ -39,7 +40,13 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import prod
 
-from .abgroup import AbelianGroup, GroupElement, bezout_gcd, element_order
+from .abgroup import (
+    AbelianGroup,
+    GroupElement,
+    bezout_gcd,
+    element_order,
+    subgroup_quotient,
+)
 from .errors import BackendError, NotConductorIdealError, PlaceResolutionError
 from .ntheory import factorize
 from .quadfield import (
@@ -173,6 +180,13 @@ class OrderData:
                 m = pl.degree // prime.g
                 n_gens.append(one._like([m * a - b for a, b in zip(q, c)]))
         return cl, tuple(q_classes), tuple(n_gens)
+
+    @cached_property
+    def cl_mod_n(self) -> AbelianGroup:
+        """Cl/N, N spanned by the N generators of ``fabric``: the order's
+        one Cl/N, built once and read by the Chow group and the class test."""
+        cl, _, n_gens = self.fabric
+        return subgroup_quotient(cl, n_gens)
 
 
 class QuadraticOrder(OrderData):

@@ -33,6 +33,7 @@ from chowkit.quadfield import QElement, class_group, make_field, splitting
 from util import (
     LIFT_CONDUCTORS,
     LIFT_FIELDS,
+    check_class_step,
     find_trivial_by_scan,
     fundamental_discriminants,
     principal_lift_by_labels,
@@ -230,6 +231,29 @@ def test_principal_round_trip_large_norms(d, f):
 
 
 
+def _lift_sweep(seed):
+    """(order, divisor) pairs over LIFT_FIELDS x LIFT_CONDUCTORS: per order,
+    six divisors with multiples of g_i at the conductor primes and two small
+    invertible places, then the divisor of one element."""
+    rng = random.Random(seed)
+    for d in LIFT_FIELDS:
+        F = make_field(d)
+        for f in LIFT_CONDUCTORS:
+            O = order_from_conductor(F, f)
+            pool = [pl for p in primes_below(30) if f % p for pl in splitting(F, p)]
+            divisors = []
+            for _ in range(6):
+                support = {prime.label: prime.g * rng.randint(-2, 2) for prime in O.primes}
+                for pl in rng.sample(pool, 2):
+                    support[pl.label] = rng.randint(-2, 2)
+                divisors.append(Divisor(LEVEL_ORDER, support))
+            y = rng.randint(1, 3)
+            x = rng.randint(-9, 9)
+            divisors.append(div_over_order(O, QElement(F, x + (x - y * d) % 2, y, 1)))
+            for D in divisors:
+                yield O, D
+
+
 def test_principal_lift_matches_label_keyed_divisors(monkeypatch):
     """Step 6 builds the ideal and the generator of the label-keyed
     reference: the same corrected lift, multiplied out from the order's
@@ -242,36 +266,37 @@ def test_principal_lift_matches_label_keyed_divisors(monkeypatch):
         return original(field, I, max_steps=max_steps)
 
     monkeypatch.setattr(chow, "is_principal", capturing)
-    rng = random.Random(17)
     kinds = set()
     reached = {True: 0, False: 0}          # by field.is_imaginary
-    for d in LIFT_FIELDS:
-        F = make_field(d)
-        for f in LIFT_CONDUCTORS:
-            O = order_from_conductor(F, f)
-            kinds |= {pl.kind for prime in O.primes for pl in prime.places}
-            pool = [pl for p in primes_below(30) if f % p for pl in splitting(F, p)]
-            divisors = []
-            for _ in range(6):
-                support = {prime.label: prime.g * rng.randint(-2, 2) for prime in O.primes}
-                for pl in rng.sample(pool, 2):
-                    support[pl.label] = rng.randint(-2, 2)
-                divisors.append(Divisor(LEVEL_ORDER, support))
-            y = rng.randint(1, 3)
-            x = rng.randint(-9, 9)
-            divisors.append(div_over_order(O, QElement(F, x + (x - y * d) % 2, y, 1)))
-            for D in divisors:
-                del lifts[:]
-                res = principal_divisor_test(O, D)
-                expected = principal_lift_by_labels(O, D)
-                if expected is None:
-                    assert res.status == "not-principal" and lifts == [], (d, f, D)
-                    continue
-                assert lifts == [expected], (d, f, D)
-                assert res.generator == original(F, expected), (d, f, D)
-                reached[F.is_imaginary] += 1
+    for O, D in _lift_sweep(17):
+        F, f = O.field, O.conductor
+        kinds |= {pl.kind for prime in O.primes for pl in prime.places}
+        del lifts[:]
+        res = principal_divisor_test(O, D)
+        expected = principal_lift_by_labels(O, D)
+        if expected is None:
+            assert res.status == "not-principal" and lifts == [], (F.d, f, D)
+            continue
+        assert lifts == [expected], (F.d, f, D)
+        assert res.generator == original(F, expected), (F.d, f, D)
+        reached[F.is_imaginary] += 1
     assert kinds == {"split", "inert", "ramified"}
     assert min(reached.values()) >= 100, reached
+
+
+def test_class_step_matches_solve_combination_quadratic():
+    """Step 5 over the sweep above: membership in ``order.cl_mod_n`` and the
+    verdict of ``principal_divisor_test`` agree with the
+    ``solve_combination`` reference, and both verdicts occur on orders
+    where N and Cl/N are both nontrivial."""
+    seen = {}
+    for O, D in _lift_sweep(17):
+        verdict = check_class_step(O, D)
+        h = O.class_group().cardinality()
+        if verdict is not None and 1 < O.cl_mod_n.cardinality() < h:
+            seen[verdict] = seen.get(verdict, 0) + 1
+    assert min(seen.get(True, 0), seen.get(False, 0)) >= 20, seen
+
 
 def test_pic_cardinality_examples():
     assert pic_cardinality(order_from_conductor(make_field(-7), 2)).pic_cardinality == 1

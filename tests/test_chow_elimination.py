@@ -11,10 +11,17 @@ import pytest
 
 from chowkit.abgroup import element_order, subgroup_quotient
 from chowkit.chow import chow_group, exact_sequence_data
-from chowkit.declared import declared_order, parse_declared, serialize_declared
-from chowkit.orders import LEVEL_ORDER, Divisor, order_from_conductor
+from chowkit.declared import (
+    DeclaredField,
+    DeclaredPlace,
+    declared_order,
+    parse_declared,
+    serialize_declared,
+)
+from chowkit.orders import LEVEL_ORDER, Divisor, NonInvertiblePrime, order_from_conductor
 from chowkit.quadfield import make_field
 from util import (
+    check_class_step,
     chow_by_full_presentation,
     fabric_by_group_arithmetic,
     fundamental_discriminants,
@@ -191,3 +198,79 @@ def test_exact_sequence_unchanged_by_elimination():
         assert es.consistent
         assert es.chow.invariant_factors == \
             chow_by_full_presentation(order).invariant_factors
+
+
+def _class_step_divisors(order, rng, n=8):
+    """D = 0, then divisors on up to three primes: multiples of g_i, one in
+    four off by 1 at one prime (it fails step 1), and some multiples of
+    g_i times the order of [Q_i], whose lift has class 0."""
+    cl, q_classes, _ = order.fabric
+    out = [Divisor(LEVEL_ORDER, {})]
+    for t in range(n):
+        picked = rng.sample(range(len(order.primes)), min(3, len(order.primes)))
+        support = {}
+        for i in picked:
+            prime = order.primes[i]
+            scale = element_order(cl, q_classes[i]) if t % 3 == 2 else 1
+            support[prime.label] = prime.g * scale * rng.randint(-3, 3)
+        if t % 4 == 3:
+            label = order.primes[picked[0]].label
+            support[label] = support[label] + 1
+        out.append(Divisor(LEVEL_ORDER, support))
+    return out
+
+
+def test_class_step_matches_solve_combination_declared():
+    """Step 5 on the declared cases: membership in ``order.cl_mod_n`` and
+    the verdict of ``principal_divisor_test`` agree with the
+    ``solve_combination`` reference, and a class outside N occurs."""
+    rng = random.Random(23)
+    verdicts = set()
+    for decl in _declared_cases():
+        order = declared_order(decl, decl.prime_labels)
+        for D in _class_step_divisors(order, rng):
+            verdicts.add(check_class_step(order, D))
+    assert verdicts == {None, True, False}
+
+
+def _image_pair(rng, chain):
+    """Two distinct class images in a class group with invariants ``chain``."""
+    while True:
+        c, c2 = (tuple(rng.randrange(d) for d in chain) for _ in range(2))
+        if c != c2:
+            return c, c2
+
+
+def test_class_step_matches_solve_combination_uniform():
+    """Step 5 on seeded ``uniform`` declared orders, where every N generator
+    is 0 and Cl/N = Cl, and on the same orders with one record of two
+    degree-1 places of distinct classes c, c' added, where N = <c - c'>:
+    membership in ``order.cl_mod_n`` and the verdict of
+    ``principal_divisor_test`` agree with the ``solve_combination``
+    reference, and both verdicts occur with N = 0 and with 0 < N < Cl.  No
+    ``declared-chow`` benchmark file has a nontrivial Cl/N, so the
+    benchmark never takes the failing branch."""
+    rng = random.Random(29)
+    seen = {}
+    for n_primes in (1, 3, 12, 40):
+        for chain in ((2,), (2, 6, 12), (3, 9), (4, 8)):
+            decl = random_declared_field(rng, n_primes, chain, (1, 2, 3, 4, 6),
+                                         uniform=True)
+            labels = rng.sample(decl.prime_labels, rng.randint(1, n_primes))
+            extra = NonInvertiblePrime("r", 2, 2, tuple(
+                DeclaredPlace(f"R{j}", 1, 1, c)
+                for j, c in enumerate(_image_pair(rng, chain))))
+            mixed = DeclaredField(decl.description, chain,
+                                  decl.conductor_primes + (extra,))
+            for order in (declared_order(decl, labels),
+                          declared_order(mixed, labels + ["r"])):
+                index = order.cl_mod_n.cardinality()   # [Cl : N]
+                if index == order.class_group().cardinality():
+                    kind = "N = 0"
+                else:
+                    kind = "0 < N < Cl" if index > 1 else "N = Cl"
+                for D in _class_step_divisors(order, rng):
+                    key = (kind, check_class_step(order, D))
+                    seen[key] = seen.get(key, 0) + 1
+    for kind in ("N = 0", "0 < N < Cl"):
+        assert min(seen.get((kind, v), 0) for v in (None, True, False)) >= 10, seen

@@ -19,7 +19,10 @@ The Chow layer: the G/R quotient gets one column per distinct pair
 (g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
 unbuilt until read, no generator lifts are built, ``find-trivial`` builds
 the Chow group it found once, and its search maps each candidate by one
-``member``, with no SNF solver, and maps nothing for an even |Cl|.
+``member``, with no SNF solver, and maps nothing for an even |Cl|.  An
+order's Cl/N is built once for the Chow group, the exact sequence, the
+principal test and the Pic report together; the principal test's class
+step calls no SNF solver, and a quadratic one calls it once, at step 6.
 
 The class-group build reduces each candidate and each product once, since
 its class keys are the forms it composes, and keeps one form per class.
@@ -260,6 +263,84 @@ def test_find_trivial_search_calls_no_snf_solver(monkeypatch):
         assert chow.find_trivial_chow_conductor(make_field(d), 100) is None, d
         assert dlogs == [], d
     assert solves == []
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap ``abgroup.<name>`` in each module that binds it; returns the
+    list that each call appends its first argument to."""
+    calls = []
+    original = getattr(abgroup, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_cl_mod_n_per_order(monkeypatch):
+    """``chow_group``, ``exact_sequence_data``, ``principal_divisor_test``
+    and ``pic_chow_report`` on one order build its Cl/N once in all, and the
+    Chow group's Cl/N is the order's."""
+    calls = _count_calls(monkeypatch, "subgroup_quotient", (abgroup, chow, orders))
+    built = [order_from_conductor(make_field(-84), 15)]
+    built += [declared_order(decl, decl.prime_labels)
+              for decl in map(_big_field, (False, True))]
+    for order in built:
+        del calls[:]
+        pres = chow.chow_group(order)
+        chow.exact_sequence_data(order)
+        prime = order.primes[0]
+        chow.principal_divisor_test(order, Divisor(LEVEL_ORDER, {prime.label: prime.g}))
+        chow.pic_chow_report(order)
+        assert len(calls) == 1
+        assert pres.cl_mod_n is order.cl_mod_n
+
+
+@pytest.mark.parametrize("uniform", (False, True))
+def test_declared_principal_test_calls_no_snf_solver(monkeypatch, uniform):
+    """On the 150-prime files, per-place (N = Cl) and uniform (N = 0), the
+    class step is one membership test in Cl/N, with no
+    ``solve_combination``: every divisor below passes step 1, and 0 passes
+    step 5 too.  The one Smith normal form made is that of Cl/N, on the
+    first call."""
+    decl = _big_field(uniform)
+    order = declared_order(decl, decl.prime_labels)
+    solves = _count_calls(monkeypatch, "solve_combination", (abgroup, chow))
+    snfs = _count_calls(monkeypatch, "_snf_inplace", (abgroup,))
+    rng = random.Random(5)
+    divisors = [Divisor(LEVEL_ORDER, {})] + [
+        Divisor(LEVEL_ORDER, {p.label: p.g * rng.randint(-3, 3)
+                              for p in rng.sample(order.primes, 5)})
+        for _ in range(20)]
+    statuses = set()
+    for D in divisors:
+        res = chow.principal_divisor_test(order, D)
+        assert res.failing_step != 1
+        statuses.add(res.status)
+    assert solves == [] and len(snfs) == 1
+    assert statuses == ({"not-principal", "principal-no-generator"} if uniform
+                        else {"principal-no-generator"})
+
+
+def test_quadratic_principal_test_solves_once_at_step_6(monkeypatch):
+    """A quadratic principal test calls ``solve_combination`` once, for the
+    kernel correction of a lift that passed the class step, and never for a
+    lift that failed it."""
+    solves = _count_calls(monkeypatch, "solve_combination", (abgroup, chow))
+    F = make_field(-23)
+    order = order_from_conductor(F, 30)
+    for x, y in ((5, 1), (7, 3), (11, 1), (29, 5)):
+        del solves[:]
+        D = div_over_order(order, QElement(F, x, y, 1))
+        res = chow.principal_divisor_test(order, D)
+        assert res.status == "principal" and len(solves) == 1
+    del solves[:]
+    res = chow.principal_divisor_test(order_from_conductor(F, 7),
+                                      Divisor(LEVEL_ORDER, {"2.0": 1}))
+    assert res.failing_step == 5 and solves == []
 
 
 def test_parse_declared_tests_each_p_once(monkeypatch):

@@ -11,7 +11,7 @@ from chowkit.abgroup import (
     solve_combination,
     subgroup_quotient,
 )
-from chowkit.chow import chow_group
+from chowkit.chow import chow_group, principal_divisor_test
 from chowkit.declared import DeclaredField, DeclaredPlace, declared_order
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
@@ -542,6 +542,45 @@ def principal_lift_by_labels(order, D):
         coeff %= m
         div = div + (coeff - m if 2 * coeff > m else coeff) * gen
     return ideal_by_labels(field, div)
+
+
+def lift_class_in_n_by_solve(order, D):
+    """(class of the lift of D, whether it lies in N), or None when D fails
+    step 1 of the principal test.  Whether the class lies in N is decided
+    by ``solve_combination`` over the N generators, as step 5 of
+    ``chow.principal_divisor_test`` decided it before it became one
+    membership test in ``order.cl_mod_n``: the reference for that test."""
+    cl, q_classes, n_gens = order.fabric
+    cls = cl.identity()
+    for prime, q in zip(order.primes, q_classes):
+        a = D.coefficient(prime.label)
+        if a % prime.g:
+            return None
+        cls = cls + (a // prime.g) * q
+    prime_labels = {prime.label for prime in order.primes}
+    for label, c in D.support.items():
+        if label not in prime_labels:
+            cls = cls + c * order.place_class(resolve_place(order.field, label))
+    return cls, solve_combination(cl, n_gens, -cls) is not None
+
+
+def check_class_step(order, D):
+    """Assert that membership in ``order.cl_mod_n`` and the status and
+    ``failing_step`` of ``principal_divisor_test`` agree with
+    ``lift_class_in_n_by_solve`` on D.  Returns its verdict: None when D
+    fails step 1, else whether the lift's class lies in N."""
+    ref = lift_class_in_n_by_solve(order, D)
+    res = principal_divisor_test(order, D)
+    if ref is None:
+        assert (res.status, res.failing_step) == ("not-principal", 1), D
+        return None
+    cls, in_n = ref
+    assert order.cl_mod_n.member(cls.coords).is_identity() == in_n, D
+    if in_n:
+        assert res.is_principal and res.failing_step is None, D
+    else:
+        assert (res.status, res.failing_step) == ("not-principal", 5), D
+    return in_n
 
 
 def witness_ideal_by_labels(order):
