@@ -485,9 +485,9 @@ def subgroup_quotient(G, subgen):
     either takes a free pivot slot, or is eliminated by the pivot row, or,
     when the pivot does not divide its entry, the two rows are replaced by
     their extended-gcd combination.  A zero generator costs nothing.  Once
-    every pivot is 1, N is all of G and the remaining generators are
-    skipped.  ``quotient`` then sees at most k rows, however many
-    generators there are.
+    every pivot is 1, N = G: ``subgen`` is advanced once more, to check that
+    generator's group, and then no further, so only the generators read are
+    checked.  ``quotient`` sees at most k rows, however many generators.
 
     The result's basis_change projects invariant-factor coordinates of G to
     the quotient; its generator_lifts pick preimages in G.
@@ -509,7 +509,7 @@ def subgroup_quotient(G, subgen):
         if g.group is not G:
             raise ValueError("subgroup generator from a different group")
         if units == k:
-            continue
+            break
         v = g.coords
         for j in range(k):
             a = v[j]

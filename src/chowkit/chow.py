@@ -9,11 +9,12 @@ take
     N = < classes of (d_{i,j}/g_i)*Q_i - P_{i,j} >,
     R = < (g_i * p_i, -[Q_i]) >,
 
-and Chow(O) = G/R.  Cl/N comes from a Hermite basis of N (Cohen, GTM 138,
-Sec. 2.4.2): the N generators, one per place, are reduced into at most
-rank(Cl) rows as they arrive, and the reduction stops once N = Cl, so the
-Smith normal form of Cl/N never sees one row per place.  [Q_i] takes few
-distinct values, and each is mapped to Cl/N once.  G/R is split along the
+and Chow(O) = G/R, each class ``order.class_of`` of an exponent vector of
+``bezout_vectors``.  Cl/N comes from a Hermite basis of N (Cohen, GTM 138,
+Sec. 2.4.2): the kernel classes, one per place, are built and reduced into
+at most rank(Cl) rows as the reduction reads them, and it stops once N = Cl,
+so the Smith normal form of Cl/N never sees one row per place.  [Q_i] takes
+few distinct values, and each is mapped to Cl/N once.  G/R is split along the
 exact sequence Cl/N -> Chow(O) -> sum Z/g_i: a prime with g_i = 1 has the
 relation p_i = [Q_i] and is eliminated, one with [Q_i] = 0 in Cl/N splits
 off Z/g_i, and primes with equal (g_i, [Q_i]) split off Z/g_i after the
@@ -26,8 +27,8 @@ divisor test: membership in the push-forward image, an ideal lift, a class
 check that is one membership test in the order's Cl/N (``cl_mod_n``, built
 once per order and shared with the Chow group), and finally a
 principal-ideal generator of the corrected lift, multiplied out from the
-order's own places; ``solve_combination`` only picks the kernel correction
-of that lift.
+order's own places; only then are all kernel classes built, for
+``solve_combination`` to pick the kernel correction.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
 an odd |Cl| admits one, and then the primes below the class group's own
 prime bound suffice.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import prod
 
 from .abgroup import (
@@ -50,7 +52,7 @@ from .abgroup import (
     solve_combination,
     subgroup_quotient,
 )
-from .errors import BackendError
+from .errors import BackendError, PlaceResolutionError
 from .ntheory import factorize, primes_below
 from .orders import (
     LEVEL_ORDER,
@@ -107,15 +109,29 @@ class ChowPresentation:
         if D.level != LEVEL_ORDER:
             raise ValueError("expected a divisor over the order")
         order = self.order
-        cl = order.class_group()
         avec = [D.coefficient(prime.label) for prime in order.primes]
-        seen = {prime.label for prime in order.primes}
-        s = cl.identity()
-        for label, coeff in D.support.items():
-            if label not in seen:
-                s = s + coeff * order.place_class(resolve_place(order.field, label))
+        s = order.class_of(*_invertible_part(order, D))
         sbar = self.cl_mod_n.member(s.coords)
         return self.result.member(avec + list(sbar.coords))
+
+
+def _invertible_part(order: OrderData, D: Divisor):
+    """(places, coefficients) of D off the order's primes, each label
+    resolved once.  A place over the conductor is refused: over the order
+    it is part of its prime."""
+    primes = {prime.label for prime in order.primes}
+    places, coeffs = [], []
+    for label, coeff in D.support.items():
+        if label not in primes:
+            hit = order.prime_for_place(label)
+            place = hit[1] if hit else resolve_place(order.field, label)
+            hit = order.prime_for_place(place.label)
+            if hit:
+                raise PlaceResolutionError(
+                    f"place {label} lies over the conductor; name its prime {hit[0].label}")
+            places.append(place)
+            coeffs.append(coeff)
+    return places, coeffs
 
 
 def chow_group(order: OrderData) -> ChowPresentation:
@@ -139,7 +155,8 @@ def chow_group(order: OrderData) -> ChowPresentation:
     quotient into one divisibility chain, and the result's ``basis_change``
     is built from its coordinate maps for all r + k generators.
     """
-    _, q_classes, _ = order.fabric
+    q_classes = tuple(order.class_of(prime.places, bezout_vectors(prime)[0])
+                      for prime in order.primes)
     cl_mod_n = order.cl_mod_n
     k = cl_mod_n.rank
     # [Q_i] takes few distinct values: map each one to Cl/N once, unless
@@ -259,20 +276,20 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     """Decide principality of a divisor over the order; recover a generator.
 
     Steps: (1) membership in the push-forward image (g_i divides the
-    coefficient at p_i); (2) lift to an ideal of the normalization using the
-    Bezout data; (3)-(4) class group and kernel generators; (5) the lift's
-    class must vanish in Cl/N, one ``member`` test in ``order.cl_mod_n``;
-    (6) correct the lift by a kernel ideal, its coefficients from
-    ``solve_combination`` taken as balanced residues modulo the orders of
-    their classes, and recover a generator of the corrected lift by
-    reduction (``is_principal``), within ``max_steps`` reduction and cycle
-    steps when given.  Step (6) multiplies out (``place_product``) exponent
-    vectors over the places of each prime (``bezout_vectors``) and the
-    places resolved in step (2).  Declared orders stop after step (5).
+    coefficient at p_i); (2) lift to an ideal of the normalization, one
+    exponent vector over the invertible places of D and then the places of
+    each prime, carrying (a_i/g_i) Q_i; (3)-(4) class group and kernel
+    vectors (``bezout_vectors``); (5) the lift's ``order.class_of`` must
+    vanish in Cl/N, one ``member`` test in ``order.cl_mod_n``; (6) add to
+    the vector the kernel vectors times ``solve_combination``'s
+    coefficients, as balanced residues modulo the orders of their classes,
+    and recover a generator of its ``place_product`` by reduction
+    (``is_principal``), within ``max_steps`` reduction and cycle steps when
+    given.  Declared orders stop after step (5).  Naming a place over the
+    conductor instead of its prime raises ``PlaceResolutionError``.
     """
     if D.level != LEVEL_ORDER:
         raise ValueError("expected a divisor over the order")
-    cl, q_classes, n_gens = order.fabric
 
     # step 1: image membership
     for prime in order.primes:
@@ -283,21 +300,18 @@ def principal_divisor_test(order: OrderData, D: Divisor,
                 detail=f"coefficient {a_i} at {prime.label} is not divisible by g = {prime.g}",
             )
 
-    prime_labels = {p.label for p in order.primes}
-    invertible = {l: c for l, c in D.support.items() if l not in prime_labels}
+    # step 2: a lift A with f_*(div A) = D as one exponent vector, the
+    # invertible places of D, then (a_i/g_i) Q_i over the places of each prime
+    places, exponents = _invertible_part(order, D)
+    n_invertible = len(places)
+    for prime in order.primes:
+        a = D.coefficient(prime.label) // prime.g
+        places += prime.places
+        exponents += [a * lam for lam in bezout_vectors(prime)[0]]
 
-    # step 2 at the level of classes: [A] for a lift A with f_*(div A) = D
-    cls_a = cl.identity()
-    for prime, q in zip(order.primes, q_classes):
-        a_i = D.coefficient(prime.label)
-        if a_i:
-            cls_a = cls_a + (a_i // prime.g) * q
-    places = [resolve_place(order.field, label) for label in invertible]
-    for place, coeff in zip(places, invertible.values()):
-        cls_a = cls_a + coeff * order.place_class(place)
-
-    # step 5: some kernel ideal cancels the class of the lift exactly when
+    # step 5: some kernel divisor cancels the class of the lift exactly when
     # that class vanishes in Cl/N
+    cls_a = order.class_of(places, exponents)
     if not order.cl_mod_n.member(cls_a.coords).is_identity():
         return PrincipalResult(
             "not-principal", failing_step=5,
@@ -308,28 +322,26 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     except BackendError:
         return PrincipalResult("principal-no-generator",
                                detail="declared backend stops after the class test")
-    x = solve_combination(cl, n_gens, -cls_a)
+
+    # step 6: correct the lift by the kernel divisor B = sum x_k * gen_k, in
+    # place.  x_k matters only modulo the order m_k of the class of gen_k
+    # (m_k * gen_k is principal and pushes forward to 0): its balanced
+    # residue keeps the ideal small.
+    cl = order.class_group()
+    starts = accumulate((len(prime.places) for prime in order.primes),
+                        initial=n_invertible)
+    kernel = [(start, gen, order.class_of(prime.places, gen))
+              for start, prime in zip(starts, order.primes)
+              for gen in bezout_vectors(prime)[1]]
+    x = solve_combination(cl, [c for _, _, c in kernel], -cls_a)
     if x is None:
         raise RuntimeError("class in N without a kernel combination; bug")
-
-    # step 6: the lift A = sum (a_i/g_i) Q_i + invertible part, corrected by
-    # the kernel divisor B = sum x_k * gen_k, as one exponent vector.  x_k
-    # matters only modulo the order m_k of the class of gen_k (m_k * gen_k is
-    # principal and pushes forward to 0): its balanced residue keeps the
-    # ideal small.
-    exponents = list(invertible.values())
-    coeffs = zip(x, n_gens)
-    for prime in order.primes:
-        q, gens = bezout_vectors(prime)
-        a = D.coefficient(prime.label) // prime.g
-        vec = [a * lam for lam in q]
-        for gen, (coeff, c) in zip(gens, coeffs):
-            m = element_order(cl, c)
-            coeff %= m
-            coeff = coeff - m if 2 * coeff > m else coeff
-            vec = [v + coeff * k for v, k in zip(vec, gen)]
-        places += prime.places
-        exponents += vec
+    for coeff, (start, gen, c) in zip(x, kernel):
+        m = element_order(cl, c)
+        coeff %= m
+        coeff = coeff - m if 2 * coeff > m else coeff
+        for j, k in enumerate(gen, start):
+            exponents[j] += coeff * k
     alpha = is_principal(field, place_product(field, places, exponents),
                          max_steps=max_steps)
     if alpha is None:
@@ -417,7 +429,7 @@ def pic_chow_report(order: OrderData) -> PicChowReport:
     The report carries the order's ``pic_cardinality``, computed once here,
     so a caller that prints both needs no second unit computation.
     """
-    cl, _, _ = order.fabric
+    cl = order.class_group()
     try:
         pic = pic_cardinality(order)
     except BackendError:

@@ -15,17 +15,19 @@ over the backend's own places (``quadfield.PrimePlace`` or
 ``declared.DeclaredPlace``): each place carries its degree d_{i,j} and
 exponent e_{i,j}, and the record derives the gcd g_i of the degrees and
 deterministic Bezout coefficients lambda_{i,j} with sum(lambda * d) = g.
-Both answer ``class_group()``, ``place_class``, ``place_label``,
-``conductor_exponent`` and ``residue_unit_order``, and the base class
-builds the cached ``fabric`` (class group, [Q_i], N generators) from them,
-and from that the cached ``cl_mod_n``, the order's one Cl/N; that is all the
-Chow group and the class test of a principal divisor need.
+Both answer ``class_group()``, ``place_label``, ``conductor_exponent`` and
+``residue_unit_order``, and give a place's reduced class coordinates (the
+parsed class image, or one ``dlog`` per place and order), from which the
+base class builds ``class_of(places, exponents)`` and the cached
+``cl_mod_n``, the order's one Cl/N, building kernel classes only as far as
+it reads them; that is all the Chow group and the class test need.
 Ideal, element and unit arithmetic needs ``order.field``, which only a
 quadratic order has: on a declared order it raises ``BackendError``.
 
 ``bezout_vectors(prime)`` spells Q_i and the kernel generators as exponent
 vectors over ``prime.places``; ``place_product`` turns such a vector into
-the ideal prod(place.ideal() ** k), with no label parsed again.
+the ideal prod(place.ideal() ** k), with no label parsed again, and
+``class_of`` into its class.
 
 Divisors live on two levels.  Over the normalization they are supported on
 places (labels like ``2.0``, ``3`` or declared labels like ``P1``); over the
@@ -155,38 +157,24 @@ class OrderData:
         """(prime, place) pair when the label lies over the conductor."""
         return self._place_to_prime.get(label)
 
-    @cached_property
-    def fabric(self):
-        """(Cl, [Q_i] per prime, N generators per (prime, place)), built once.
-
-        Q_i = sum_j lambda_{i,j} P_{i,j}; the N generator of P_{i,j} is
-        (d_{i,j}/g_i)[Q_i] - [P_{i,j}], the class of its kernel generator.
-        Both are formed on the reduced coordinates of the place classes and
-        reduced once each, as group-element arithmetic does, not checked
-        again.
-        """
+    def class_of(self, places, exponents) -> GroupElement:
+        """Class of sum(k * place), the class-group twin of ``place_product``:
+        the places' reduced class coordinates summed and reduced once."""
         cl = self.class_group()
-        one = cl.identity()
-        q_classes = []
-        n_gens = []
-        for prime in self.primes:
-            coords = [self.place_class(pl).coords for pl in prime.places]
-            q = [0] * cl.rank
-            for lam, c in zip(prime.lambdas, coords):
-                if lam:
-                    q = [a + lam * b for a, b in zip(q, c)]
-            q_classes.append(one._like(q))
-            for pl, c in zip(prime.places, coords):
-                m = pl.degree // prime.g
-                n_gens.append(one._like([m * a - b for a, b in zip(q, c)]))
-        return cl, tuple(q_classes), tuple(n_gens)
+        acc = [0] * cl.rank
+        for place, k in zip(places, exponents):
+            if k:
+                acc = [a + k * c for a, c in zip(acc, self._class_coords(place))]
+        return GroupElement(cl, acc)
 
     @cached_property
     def cl_mod_n(self) -> AbelianGroup:
-        """Cl/N, N spanned by the N generators of ``fabric``: the order's
-        one Cl/N, built once and read by the Chow group and the class test."""
-        cl, _, n_gens = self.fabric
-        return subgroup_quotient(cl, n_gens)
+        """Cl/N, N spanned by the classes of the kernel vectors, each built
+        as ``subgroup_quotient`` reads it: the order's one Cl/N, read by the
+        Chow group and the class test."""
+        return subgroup_quotient(self.class_group(), (
+            self.class_of(prime.places, gen)
+            for prime in self.primes for gen in bezout_vectors(prime)[1]))
 
 
 class QuadraticOrder(OrderData):
@@ -196,6 +184,7 @@ class QuadraticOrder(OrderData):
         super().__init__(primes)
         self.field = field
         self.conductor = conductor
+        self._classes = {}    # class coordinates per place read, by label
         self._exponents = {}  # v_p(f) per non-invertible prime, by division
         for prime in self.primes:
             v, f = 0, conductor
@@ -207,9 +196,11 @@ class QuadraticOrder(OrderData):
         """Class group of the normalization."""
         return class_group(self.field).group
 
-    def place_class(self, place) -> GroupElement:
-        """Ideal class of a place of the normalization."""
-        return class_group(self.field).dlog(place.ideal())
+    def _class_coords(self, place):
+        """Reduced class coordinates of a place, one ``dlog`` per place."""
+        if place.label not in self._classes:
+            self._classes[place.label] = class_group(self.field).dlog(place.ideal()).coords
+        return self._classes[place.label]
 
     def place_label(self, token):
         """Canonical label of the place of the normalization named by token."""
@@ -236,7 +227,6 @@ class DeclaredOrder(OrderData):
         self.declared = declared
         self.selection = tuple(selection)
         self._class_group = AbelianGroup(declared.class_invariants)
-        self._classes = {}  # class element per distinct declared class image
 
     @property
     def field(self):
@@ -247,15 +237,9 @@ class DeclaredOrder(OrderData):
         """Class group of the normalization, as declared."""
         return self._class_group
 
-    def place_class(self, place) -> GroupElement:
-        """Declared ideal class of a place over the conductor; the data holds
-        it in invariant coordinates already.  Each distinct image is checked
-        and reduced once per order."""
-        image = place.class_image
-        cls = self._classes.get(image)
-        if cls is None:
-            cls = self._classes[image] = self._class_group.element(image)
-        return cls
+    def _class_coords(self, place):
+        """The parsed class image, reduced invariant coordinates already."""
+        return place.class_image
 
     def place_label(self, token):
         """The token itself when it names a place of a selected record;
@@ -524,11 +508,9 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
         if outside(eps):
             return eps
 
-    cl, _, n_gens = order.fabric
-    gens = [(prime.places, gen) for prime in order.primes
-            for gen in bezout_vectors(prime)[1]]
-    pairs = [(element_order(cl, c), places, gen)
-             for (places, gen), c in zip(gens, n_gens) if any(gen)]
+    cl = order.class_group()
+    pairs = [(element_order(cl, order.class_of(prime.places, gen)), prime.places, gen)
+             for prime in order.primes for gen in bezout_vectors(prime)[1] if any(gen)]
     if not pairs:
         return None
     m, places, gen = min(pairs, key=lambda pair: pair[0])

@@ -427,11 +427,28 @@ class _Unread:
         raise AssertionError("generator read after the subgroup became all of G")
 
 
+def _recording(gens, advanced):
+    """Iterate over gens, appending each one to ``advanced`` as it is taken."""
+    for g in gens:
+        advanced.append(g)
+        yield g
+
+
 def test_subgroup_quotient_stops_once_n_is_g():
+    """Once N = G the next generator is checked to lie in G and unread, and
+    an iterator of generators is not advanced past it."""
     C6 = AbelianGroup([6])
     assert subgroup_quotient(C6, [C6.element([2]), C6.element([3]), _Unread(C6)]).is_trivial()
     G = AbelianGroup([2, 4, 0])
     full = [G.element([0, 0, 1]), G.element([1, 2, 3]), G.element([0, 1, 4])]
     assert subgroup_quotient(G, full + [_Unread(G)] * 3).is_trivial()
+    for group, gens in ((C6, [C6.element([2]), C6.element([3])]), (G, full)):
+        rest = [_Unread(group)] * 3
+        advanced = []
+        assert subgroup_quotient(group, _recording(gens + rest, advanced)).is_trivial()
+        assert advanced == gens + rest[:1]
+    advanced = []
+    Q = subgroup_quotient(G, _recording(full[1:], advanced))
+    assert Q.describe() == "Z/2" and advanced == full[1:]
     with pytest.raises(ValueError):
         subgroup_quotient(C6, [C6.element([1]), AbelianGroup([6]).identity()])

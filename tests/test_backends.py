@@ -137,7 +137,7 @@ def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
 _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_chow_at",
                   "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
                   "invertible_place_class", "residue_units_trivial", "ord_at",
-                  "unit_group_order", "_form_pow", "local_chow")
+                  "unit_group_order", "_form_pow", "local_chow", "fabric")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
@@ -182,6 +182,10 @@ def _owner(kind):
     ("cli", "_group_str"),
     ("QuadraticOrder", "invertible_place_class"),
     ("DeclaredOrder", "invertible_place_class"),
+    ("QuadraticOrder", "fabric"),
+    ("DeclaredOrder", "fabric"),
+    ("QuadraticOrder", "place_class"),
+    ("DeclaredOrder", "place_class"),
     ("FixReport", "residue_units_trivial"),
     ("Divisor", "__neg__"),
     ("Divisor", "__sub__"),

@@ -19,7 +19,7 @@ from chowkit.chow import (
     principal_divisor_test,
 )
 from chowkit.declared import declared_order, load_declared, parse_declared
-from chowkit.errors import BackendError
+from chowkit.errors import BackendError, PlaceResolutionError
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
@@ -174,6 +174,33 @@ def test_principal_divisor_test_declared():
     assert res1.status == "not-principal" and res1.failing_step == 1
 
 
+def test_place_over_the_conductor_is_refused_quadratic():
+    """Over the order a place over the conductor is part of its prime: on
+    Z + 2*O~ in Q(sqrt(-7)), where 2 splits, a divisor naming 2.0 or 2.1,
+    in any spelling, is refused by the principal test and by ``project``
+    with the prime's label, where the test used to answer "principal" for
+    {"2.0": 1} with (1 + sqrt(-7))/2, whose divisor is {"2": 1}."""
+    O = order_from_conductor(make_field(-7), 2)
+    pres = chow_group(O)
+    for label in ("2.0", "2.1", "02.1"):
+        D = Divisor(LEVEL_ORDER, {"11.0": 1, label: 1})
+        for call in (lambda D: principal_divisor_test(O, D), pres.project):
+            with pytest.raises(PlaceResolutionError, match=f"place {label} .*prime 2$"):
+                call(D)
+    assert principal_divisor_test(O, Divisor(LEVEL_ORDER, {"2": 1})).status == "principal"
+
+
+def test_place_over_the_conductor_is_refused_declared():
+    """On a declared order the same divisor raised ``BackendError``, from
+    the field it has not: now the place P of the biquadratic record is
+    refused by name, with the record's label."""
+    O = declared_order(load_declared(BIQUAD), ["main"])
+    pres = chow_group(O)
+    for call in (lambda D: principal_divisor_test(O, D), pres.project):
+        with pytest.raises(PlaceResolutionError, match="place P .*prime main$"):
+            call(Divisor(LEVEL_ORDER, {"main": 2, "P": 2}))
+
+
 def test_principal_round_trip():
     rng = random.Random(77)
     for d in (-7, -23, -4):
@@ -215,7 +242,7 @@ def test_principal_round_trip_large_norms(d, f):
     # generator comes back within a second, h = 1325 for -837191 included
     F = make_field(d)
     O = order_from_conductor(F, f)
-    chow_group(O)                       # class group and fabric built up front
+    chow_group(O)                       # class group and Cl/N built up front
     pool = _smooth_elements(F)
     rng = random.Random(d)
     for _ in range(3):

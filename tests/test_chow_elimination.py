@@ -24,6 +24,7 @@ from util import (
     check_class_step,
     chow_by_full_presentation,
     fabric_by_group_arithmetic,
+    fabric_of,
     fundamental_discriminants,
     random_declared_field,
     transcribe_to_declared,
@@ -179,13 +180,21 @@ def test_projection_is_additive_and_kills_relations():
 @pytest.mark.parametrize("d, f", QUADRATIC[:6])
 def test_fabric_matches_group_arithmetic_quadratic(d, f):
     order = order_from_conductor(make_field(d), f)
-    assert order.fabric == fabric_by_group_arithmetic(order)
+    assert fabric_of(order) == fabric_by_group_arithmetic(order)
+    assert chow_group(order).q_classes == fabric_of(order)[1]
 
 
 def test_fabric_matches_group_arithmetic_declared():
-    for decl in _declared_cases():
+    """On the declared cases and on the 150-prime files of the cost guards,
+    per-place and uniform: [Q_i] and the kernel classes, through
+    ``order.class_of``, and the [Q_i] of ``chow_group`` equal the
+    group-arithmetic reference."""
+    big = [random_declared_field(random.Random(150), 150, (2, 6, 12), uniform=uniform)
+           for uniform in (False, True)]
+    for decl in _declared_cases() + big:
         order = declared_order(decl, decl.prime_labels)
-        assert order.fabric == fabric_by_group_arithmetic(order)
+        assert fabric_of(order) == fabric_by_group_arithmetic(order)
+        assert chow_group(order).q_classes == fabric_of(order)[1]
 
 
 def test_exact_sequence_unchanged_by_elimination():
@@ -204,7 +213,7 @@ def _class_step_divisors(order, rng, n=8):
     """D = 0, then divisors on up to three primes: multiples of g_i, one in
     four off by 1 at one prime (it fails step 1), and some multiples of
     g_i times the order of [Q_i], whose lift has class 0."""
-    cl, q_classes, _ = order.fabric
+    cl, q_classes, _ = fabric_by_group_arithmetic(order)
     out = [Divisor(LEVEL_ORDER, {})]
     for t in range(n):
         picked = rng.sample(range(len(order.primes)), min(3, len(order.primes)))

@@ -2,8 +2,10 @@
 
 The declared path: each test fails when a change brings back work that
 grows quadratically with the number of conductor primes, work repeated
-per place or per record on values that a file repeats, or a copy of the
-parsed records per order.  Ideal powers and place-power products: the
+per place or per record on values that a file repeats, a check of a
+parsed class image, a kernel class that nothing reads, or a copy of the
+parsed records per order.  A quadratic order maps each place it reads to
+its class by one ``dlog``.  Ideal powers and place-power products: the
 exact number of products, none with the unit ideal.  A regression shows in
 the test suite before it shows in the benchmark.
 
@@ -57,12 +59,13 @@ from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
+    OrderData,
     div_over_order,
     order_from_conductor,
     place_product,
     resolve_place,
 )
-from util import random_declared_field
+from util import fabric_of, random_declared_field
 
 N_PRIMES = 150
 
@@ -128,7 +131,7 @@ def test_declared_fabric_calls_no_member(monkeypatch):
         return original(self, vector)
 
     monkeypatch.setattr(AbelianGroup, "member", counting)
-    cl, q_classes, n_gens = order.fabric
+    cl, q_classes, n_gens = fabric_of(order)
     assert calls == []
     assert len(q_classes) == N_PRIMES
     assert len(n_gens) == sum(len(p.places) for p in order.primes)
@@ -137,7 +140,7 @@ def test_declared_fabric_calls_no_member(monkeypatch):
 def test_n_quotient_sees_at_most_rank_cl_rows(monkeypatch):
     decl = _big_field(uniform=False)
     order = declared_order(decl, decl.prime_labels)
-    cl, _, n_gens = order.fabric
+    cl, _, n_gens = fabric_of(order)
     shapes = []
     original = abgroup.quotient
 
@@ -153,8 +156,13 @@ def test_n_quotient_sees_at_most_rank_cl_rows(monkeypatch):
     assert shapes[0][0] == cl.rank and shapes[0][1] <= cl.rank
 
 
-def test_declared_fabric_reduces_each_class_image_once(monkeypatch):
-    decl = _big_field(uniform=False)
+@pytest.mark.parametrize("uniform", (False, True))
+def test_declared_chow_and_principal_call_no_element(monkeypatch, uniform):
+    """A declared place's class is its parsed class image, used as it is:
+    ``chow_group`` and a principal test on every prime of the 150-prime
+    files call ``AbelianGroup.element`` zero times, where checking each
+    distinct image once took one call per image."""
+    decl = _big_field(uniform)
     order = declared_order(decl, decl.prime_labels)
     calls = []
     original = AbelianGroup.element
@@ -164,16 +172,96 @@ def test_declared_fabric_reduces_each_class_image_once(monkeypatch):
         return original(self, coords)
 
     monkeypatch.setattr(AbelianGroup, "element", counting)
-    order.fabric
-    places = [pl for prime in order.primes for pl in prime.places]
-    assert sorted(calls) == sorted({pl.class_image for pl in places})
-    assert len(calls) < len(places)
+    chow.chow_group(order)
+    for prime in order.primes:
+        chow.principal_divisor_test(order, Divisor(LEVEL_ORDER, {prime.label: prime.g}))
+    assert calls == []
+
+
+def _count_class_of(monkeypatch):
+    """Wrap ``OrderData.class_of``; returns the list that each call appends
+    its places to."""
+    calls = []
+    original = OrderData.class_of
+
+    def counting(self, places, exponents):
+        calls.append(places)
+        return original(self, places, exponents)
+
+    monkeypatch.setattr(OrderData, "class_of", counting)
+    return calls
+
+
+def test_cl_mod_n_of_2400_primes_builds_5_kernel_classes(monkeypatch):
+    """N = Cl on the 2400-prime file: ``subgroup_quotient`` stops advancing
+    the kernel classes once it has them, so ``order.cl_mod_n`` builds 5
+    classes of the 6029 kernel vectors, where one N generator per place
+    was built before."""
+    decl = random_declared_field(random.Random(2400), 2400, (2, 6, 12))
+    order = declared_order(decl, decl.prime_labels)
+    built = _count_class_of(monkeypatch)
+    assert order.cl_mod_n.is_trivial() and not order.class_group().is_trivial()
+    assert len(built) == 5
+    assert all(any(places is prime.places for prime in order.primes) for places in built)
+    assert sum(len(prime.places) for prime in order.primes) == 6029
+
+
+@pytest.mark.parametrize("uniform", (False, True))
+def test_declared_principal_test_builds_no_further_kernel_class(monkeypatch, uniform):
+    """On the 150-prime files a declared principal test builds the kernel
+    classes that ``cl_mod_n`` reads, on the first call (7 with N = Cl,
+    all 395 with N = 0), and one class per test, that of its lift."""
+    decl = _big_field(uniform)
+    built = _count_class_of(monkeypatch)
+    declared_order(decl, decl.prime_labels).cl_mod_n
+    read = len(built)
+    assert read == (395 if uniform else 7)
+    order = declared_order(decl, decl.prime_labels)
+    del built[:]
+    rng = random.Random(5)
+    divisors = [Divisor(LEVEL_ORDER, {p.label: p.g * rng.randint(-3, 3)
+                                      for p in rng.sample(order.primes, 5)})
+                for _ in range(20)]
+    for D in divisors:
+        assert chow.principal_divisor_test(order, D).failing_step != 1
+    records = {id(prime.places) for prime in order.primes}
+    assert sum(1 for places in built if id(places) in records) == read
+    assert len(built) == read + len(divisors)
+
+
+def test_quadratic_order_dlogs_each_place_once(monkeypatch):
+    """Over Z + 30*O~ in Q(sqrt(-23)) (2 and 3 split, 5 inert): the Chow
+    group, the exact sequence, principal tests, the Pic report and the
+    kernel witness map each place they read, over the conductor or not, to
+    its class by at most one ``dlog``, and the places over the conductor
+    by exactly one among them."""
+    F = make_field(-23)
+    order = order_from_conductor(F, 30)
+    ideals = []
+    original = ClassGroupData.dlog
+
+    def counting(self, ideal):
+        ideals.append(ideal)
+        return original(self, ideal)
+
+    monkeypatch.setattr(ClassGroupData, "dlog", counting)
+    chow.chow_group(order)
+    chow.exact_sequence_data(order)
+    for x, y in ((5, 1), (7, 3), (11, 1), (29, 5)):
+        D = div_over_order(order, QElement(F, x, y, 1))
+        assert chow.principal_divisor_test(order, D).status == "principal"
+    chow.pic_chow_report(order)
+    assert orders.divisor_kernel_witness(order) is not None
+    places = [pl.ideal() for prime in order.primes for pl in prime.places]
+    assert [sum(1 for I in ideals if I == P) for P in places] == [1, 1, 1, 1, 1]
+    assert all(sum(1 for J in ideals if J == I) == 1 for I in ideals)
+    assert len(ideals) > len(places)
 
 
 def test_chow_group_maps_each_q_class_once(monkeypatch):
     decl = _big_field(uniform=False)
     order = declared_order(decl, decl.prime_labels)
-    _, q_classes, _ = order.fabric
+    _, q_classes, _ = fabric_of(order)
     calls = []
     original = AbelianGroup.member
 
@@ -587,11 +675,12 @@ def test_class_group_build_memory(monkeypatch):
 def test_chow_group_build_memory():
     """2400 primes, 809 invariant factors: ``chow_group`` builds
     ``basis_change`` and no generator lifts, so its tracemalloc peak stays
-    below 32 MiB (20.4 MiB on CPython 3.11), where a dense 809 x 2400
-    matrix of lifts took it to 50.1 MiB, measured the same way."""
+    below 32 MiB (20.6 MiB on CPython 3.11, its [Q_i] built inside the
+    call and Cl/N before it), where a dense 809 x 2400 matrix of lifts took
+    it to 50.1 MiB, measured the same way."""
     decl = random_declared_field(random.Random(2400), 2400, (2, 6, 12))
     order = declared_order(decl, decl.prime_labels)
-    order.fabric
+    order.cl_mod_n
     gc.collect()
     tracemalloc.start()
     try:

@@ -24,13 +24,15 @@ from chowkit.orders import (
     kernel_generators,
     order_from_conductor,
     order_from_ideal,
+    place_product,
     prop_fix_report,
     pushforward,
 )
-from chowkit.quadfield import QElement, make_field, splitting
+from chowkit.quadfield import QElement, class_group, make_field, splitting
 from util import (
     LIFT_CONDUCTORS,
     LIFT_FIELDS,
+    fabric_of,
     fundamental_discriminants,
     kernel_generators_by_labels,
     random_declared_field,
@@ -361,25 +363,53 @@ def test_kernel_witness_matches_label_keyed_divisors(monkeypatch):
 
 
 def test_fabric_n_generators_are_kernel_vector_classes():
-    """The N generators of ``fabric`` are the classes of the kernel vectors
-    of ``bezout_vectors``, and ``kernel_generators`` spells those vectors
-    as the label-keyed divisors (d_{i,j}/g_i) Q_i - P_{i,j}."""
+    """The N generators of the fabric, ``order.class_of`` of the kernel
+    vectors of ``bezout_vectors``, are the classes of those vectors summed
+    place by place, and ``kernel_generators`` spells the vectors as the
+    label-keyed divisors (d_{i,j}/g_i) Q_i - P_{i,j}."""
     decl = random_declared_field(random.Random(7), 12, (2, 6))
     cases = [order_from_conductor(make_field(d), f)
              for d in LIFT_FIELDS for f in LIFT_CONDUCTORS]
     cases += [declared_order(decl, decl.prime_labels),
               declared_order(load_declared("data/biquad.decl"), ["main"])]
     for O in cases:
-        cl, _, n_gens = O.fabric
+        cl, _, n_gens = fabric_of(O)
         classes = []
         for prime in O.primes:
             for gen in bezout_vectors(prime)[1]:
                 c = cl.identity()
                 for pl, k in zip(prime.places, gen):
-                    c = c + k * O.place_class(pl)
+                    c = c + k * O.class_of([pl], [1])
                 classes.append(c)
         assert tuple(classes) == n_gens
         assert kernel_generators(O) == kernel_generators_by_labels(O)
+
+def test_class_of_matches_dlog_of_place_product():
+    """``order.class_of`` against ideal arithmetic: on the LIFT_FIELDS x
+    LIFT_CONDUCTORS orders, imaginary and real, the class of a seeded
+    exponent vector over places over the conductor and invertible places,
+    with negative and zero exponents and a place repeated, is the ``dlog``
+    of its ``place_product``."""
+    rng = random.Random(41)
+    nontrivial = 0
+    for d in LIFT_FIELDS:
+        F = make_field(d)
+        cg = class_group(F)
+        for f in LIFT_CONDUCTORS:
+            O = order_from_conductor(F, f)
+            pool = [pl for prime in O.primes for pl in prime.places]
+            pool += [pl for p in primes_below(20) if f % p for pl in splitting(F, p)]
+            for _ in range(4):
+                places = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+                places.append(places[0])
+                exponents = [rng.randint(-3, 3) for _ in places]
+                exponents[rng.randrange(len(places))] = 0
+                cls = O.class_of(places, exponents)
+                assert cls == cg.dlog(place_product(F, places, exponents)), (d, f, places)
+                nontrivial += not cls.is_identity()
+            assert O.class_of((), ()) == cg.group.identity()
+    assert nontrivial > 100, nontrivial
+
 
 @pytest.mark.parametrize("d, f", [(-47, 6), (-47, 119), (-3299, 30), (-3299, 35)])
 def test_divisor_kernel_witness_exists(d, f):

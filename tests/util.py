@@ -19,6 +19,7 @@ from chowkit.orders import (
     Divisor,
     NonInvertiblePrime,
     QuadraticOrder,
+    bezout_vectors,
     order_from_conductor,
     resolve_place,
 )
@@ -388,15 +389,19 @@ def subgroup_quotient_by_raw_rows(G, subgen):
 
 def fabric_by_group_arithmetic(order):
     """(Cl, [Q_i], N generators) by group-element arithmetic: the reference
-    for ``OrderData.fabric``.  A declared class image is read as a vector in
-    the class group's presentation coordinates (``member``)."""
+    for ``order.class_group()``, ``chow_group(order).q_classes`` and the
+    classes ``order.class_of`` gives the kernel vectors of
+    ``bezout_vectors``.  A declared class image is read as a vector in the
+    class group's presentation coordinates (``member``), a quadratic place's
+    class is its ``dlog``."""
     cl = order.class_group()
     declared = isinstance(order, DeclaredOrder)
     q_classes = []
     n_gens = []
     for prime in order.primes:
         classes = [cl.member(pl.class_image) if declared
-                   else order.place_class(pl) for pl in prime.places]
+                   else class_group(order.field).dlog(pl.ideal())
+                   for pl in prime.places]
         q = cl.identity()
         for lam, c in zip(prime.lambdas, classes):
             q = q + lam * c
@@ -404,6 +409,17 @@ def fabric_by_group_arithmetic(order):
         n_gens += [(pl.degree // prime.g) * q - c
                    for pl, c in zip(prime.places, classes)]
     return cl, tuple(q_classes), tuple(n_gens)
+
+
+def fabric_of(order):
+    """(Cl, [Q_i], kernel classes) through the order's own class map:
+    ``order.class_of`` of the vectors of ``bezout_vectors``, one Q_i per
+    prime and one kernel class per (prime, place)."""
+    vectors = [(prime.places, bezout_vectors(prime)) for prime in order.primes]
+    return (order.class_group(),
+            tuple(order.class_of(places, q) for places, (q, _) in vectors),
+            tuple(order.class_of(places, gen)
+                  for places, (_, gens) in vectors for gen in gens))
 
 
 def chow_by_full_presentation(order):
@@ -521,7 +537,7 @@ def principal_lift_by_labels(order, D):
     """
     field = order.field
     cg = class_group(field)
-    cl, q_classes, n_gens = order.fabric
+    cl, q_classes, n_gens = fabric_by_group_arithmetic(order)
     prime_labels = {prime.label for prime in order.primes}
     invertible = {l: c for l, c in D.support.items() if l not in prime_labels}
     div = Divisor(LEVEL_NORMALIZATION, invertible)
@@ -550,7 +566,7 @@ def lift_class_in_n_by_solve(order, D):
     by ``solve_combination`` over the N generators, as step 5 of
     ``chow.principal_divisor_test`` decided it before it became one
     membership test in ``order.cl_mod_n``: the reference for that test."""
-    cl, q_classes, n_gens = order.fabric
+    cl, q_classes, n_gens = fabric_by_group_arithmetic(order)
     cls = cl.identity()
     for prime, q in zip(order.primes, q_classes):
         a = D.coefficient(prime.label)
@@ -560,7 +576,8 @@ def lift_class_in_n_by_solve(order, D):
     prime_labels = {prime.label for prime in order.primes}
     for label, c in D.support.items():
         if label not in prime_labels:
-            cls = cls + c * order.place_class(resolve_place(order.field, label))
+            cls = cls + c * class_group(order.field).dlog(
+                resolve_place(order.field, label).ideal())
     return cls, solve_combination(cl, n_gens, -cls) is not None
 
 
@@ -588,7 +605,7 @@ def witness_ideal_by_labels(order):
     returns when no unit escapes the order: m*g for the nonzero kernel
     generator g whose class has the least order m (the first such), or None
     when every generator is zero."""
-    cl, _, n_gens = order.fabric
+    cl, _, n_gens = fabric_by_group_arithmetic(order)
     pairs = [(element_order(cl, c), g)
              for g, c in zip(kernel_generators_by_labels(order), n_gens)
              if not g.is_zero()]
