@@ -9,11 +9,12 @@ take
     N = < classes of (d_{i,j}/g_i)*Q_i - P_{i,j} >,
     R = < (g_i * p_i, -[Q_i]) >,
 
-and Chow(O) = G/R, each class ``order.class_of`` of an exponent vector of
-``bezout_vectors``.  Cl/N comes from a Hermite basis of N (Cohen, GTM 138,
-Sec. 2.4.2): the kernel classes, one per place, are built and reduced into
-at most rank(Cl) rows as the reduction reads them, and it stops once N = Cl,
-so the Smith normal form of Cl/N never sees one row per place.  [Q_i] takes
+and Chow(O) = G/R, each class ``order.class_of`` of an exponent vector,
+``prime.lambdas`` for Q_i and ``kernel_vectors`` for N.  Cl/N comes from a
+Hermite basis of N (Cohen, GTM 138, Sec. 2.4.2): the kernel classes, one
+per place, are built and reduced into at most rank(Cl) rows as the
+reduction reads them, and it stops once N = Cl, so the Smith normal form of
+Cl/N never sees one row per place.  [Q_i] takes
 few distinct values, and each is mapped to Cl/N once.  G/R is split along the
 exact sequence Cl/N -> Chow(O) -> sum Z/g_i: a prime with g_i = 1 has the
 relation p_i = [Q_i] and is eliminated, one with [Q_i] = 0 in Cl/N splits
@@ -58,10 +59,9 @@ from .orders import (
     LEVEL_ORDER,
     Divisor,
     OrderData,
-    bezout_vectors,
+    kernel_vectors,
     order_from_conductor,
     place_product,
-    resolve_place,
 )
 from .quadfield import (
     QuadField,
@@ -119,18 +119,15 @@ def _invertible_part(order: OrderData, D: Divisor):
     """(places, coefficients) of D off the order's primes, each label
     resolved once.  A place over the conductor is refused: over the order
     it is part of its prime."""
-    primes = {prime.label for prime in order.primes}
     places, coeffs = [], []
     for label, coeff in D.support.items():
-        if label not in primes:
-            hit = order.prime_for_place(label)
-            place = hit[1] if hit else resolve_place(order.field, label)
-            hit = order.prime_for_place(place.label)
-            if hit:
-                raise PlaceResolutionError(
-                    f"place {label} lies over the conductor; name its prime {hit[0].label}")
+        place, prime = order.resolve(label)
+        if prime is None:
             places.append(place)
             coeffs.append(coeff)
+        elif label != prime.label:
+            raise PlaceResolutionError(
+                f"place {label} lies over the conductor; name its prime {prime.label}")
     return places, coeffs
 
 
@@ -155,7 +152,7 @@ def chow_group(order: OrderData) -> ChowPresentation:
     quotient into one divisibility chain, and the result's ``basis_change``
     is built from its coordinate maps for all r + k generators.
     """
-    q_classes = tuple(order.class_of(prime.places, bezout_vectors(prime)[0])
+    q_classes = tuple(order.class_of(prime.places, prime.lambdas)
                       for prime in order.primes)
     cl_mod_n = order.cl_mod_n
     k = cl_mod_n.rank
@@ -279,7 +276,7 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     coefficient at p_i); (2) lift to an ideal of the normalization, one
     exponent vector over the invertible places of D and then the places of
     each prime, carrying (a_i/g_i) Q_i; (3)-(4) class group and kernel
-    vectors (``bezout_vectors``); (5) the lift's ``order.class_of`` must
+    vectors (``kernel_vectors``); (5) the lift's ``order.class_of`` must
     vanish in Cl/N, one ``member`` test in ``order.cl_mod_n``; (6) add to
     the vector the kernel vectors times ``solve_combination``'s
     coefficients, as balanced residues modulo the orders of their classes,
@@ -307,7 +304,7 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     for prime in order.primes:
         a = D.coefficient(prime.label) // prime.g
         places += prime.places
-        exponents += [a * lam for lam in bezout_vectors(prime)[0]]
+        exponents += [a * lam for lam in prime.lambdas]
 
     # step 5: some kernel divisor cancels the class of the lift exactly when
     # that class vanishes in Cl/N
@@ -332,7 +329,7 @@ def principal_divisor_test(order: OrderData, D: Divisor,
                         initial=n_invertible)
     kernel = [(start, gen, order.class_of(prime.places, gen))
               for start, prime in zip(starts, order.primes)
-              for gen in bezout_vectors(prime)[1]]
+              for gen in kernel_vectors(prime)]
     x = solve_combination(cl, [c for _, _, c in kernel], -cls_a)
     if x is None:
         raise RuntimeError("class in N without a kernel combination; bug")

@@ -85,19 +85,11 @@ def _parse_support(text):
     return out
 
 
-def _resolve_order_label(order, token):
-    for prime in order.primes:
-        if token == prime.label:
-            return prime.label
-    label = order.place_label(token)
-    hit = order.prime_for_place(label)
-    return label if hit is None else hit[0].label
-
-
 def _divisor_from_literal(order, text):
     support = {}
     for tok, coeff in _parse_support(text).items():
-        label = _resolve_order_label(order, tok)
+        place, prime = order.resolve(tok)
+        label = place.label if prime is None else prime.label
         support[label] = support.get(label, 0) + coeff
     return Divisor(LEVEL_ORDER, support)
 

@@ -15,7 +15,7 @@ over the backend's own places (``quadfield.PrimePlace`` or
 ``declared.DeclaredPlace``): each place carries its degree d_{i,j} and
 exponent e_{i,j}, and the record derives the gcd g_i of the degrees and
 deterministic Bezout coefficients lambda_{i,j} with sum(lambda * d) = g.
-Both answer ``class_group()``, ``place_label``, ``conductor_exponent`` and
+Both answer ``class_group()``, ``resolve``, ``conductor_exponent`` and
 ``residue_unit_order``, and give a place's reduced class coordinates (the
 parsed class image, or one ``dlog`` per place and order), from which the
 base class builds ``class_of(places, exponents)`` and the cached
@@ -24,16 +24,18 @@ it reads them; that is all the Chow group and the class test need.
 Ideal, element and unit arithmetic needs ``order.field``, which only a
 quadratic order has: on a declared order it raises ``BackendError``.
 
-``bezout_vectors(prime)`` spells Q_i and the kernel generators as exponent
-vectors over ``prime.places``; ``place_product`` turns such a vector into
-the ideal prod(place.ideal() ** k), with no label parsed again, and
-``class_of`` into its class.
+``prime.lambdas`` is Q_i and ``kernel_vectors(prime)`` the kernel
+generators, as exponent vectors over ``prime.places``; ``place_product``
+turns such a vector into the ideal prod(place.ideal() ** k), with no label
+parsed again, and ``class_of`` into its class.
 
 Divisors live on two levels.  Over the normalization they are supported on
 places (labels like ``2.0``, ``3`` or declared labels like ``P1``); over the
 order they are supported on maximal ideals of the order, where invertible
 primes keep the label of the unique place above them and each non-invertible
 prime gets its own label (the rational prime for quadratic orders).
+``order.resolve(token)`` is the one map from a token to both levels: the
+place it names and the non-invertible prime below that place, if any.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .abgroup import (
     subgroup_quotient,
 )
 from .errors import BackendError, NotConductorIdealError, PlaceResolutionError
-from .ntheory import factorize
+from .ntheory import factorize, is_prime
 from .quadfield import (
     QElement,
     QIdeal,
@@ -61,7 +63,6 @@ from .quadfield import (
     is_principal,
     _splitting,
     residue_unit_cardinality,
-    splitting,
     torsion_units,
 )
 
@@ -141,21 +142,28 @@ class OrderData:
 
     def __init__(self, primes):
         self.primes = tuple(primes)
-        self._place_to_prime = {}
+        self._over = {}  # (place, prime) by the label of each place and prime
         for prime in self.primes:
             for pl in prime.places:
-                if pl.label in self._place_to_prime:
+                if pl.label in self._over:
                     raise PlaceResolutionError(
                         f"place {pl.label} appears under two selected primes")
-                self._place_to_prime[pl.label] = (prime, pl)
+                self._over[pl.label] = (pl, prime)
+        for prime in self.primes:
+            if self._over.get(prime.label, (None, None))[1] is not prime:
+                self._over[prime.label] = (None, prime)
 
     @property
     def is_maximal(self):
         return not self.primes
 
-    def prime_for_place(self, label):
-        """(prime, place) pair when the label lies over the conductor."""
-        return self._place_to_prime.get(label)
+    def resolve(self, token):
+        """(place, prime): the place of the normalization a token names and
+        the non-invertible prime below it, None if invertible.  A prime's own
+        label that names no single place (a split p, a declared record) gives
+        (None, prime); anything else raises ``PlaceResolutionError``."""
+        hit = self._over.get(token)
+        return hit if hit is not None else self._resolve_other(token)
 
     def class_of(self, places, exponents) -> GroupElement:
         """Class of sum(k * place), the class-group twin of ``place_product``:
@@ -174,7 +182,7 @@ class OrderData:
         Chow group and the class test."""
         return subgroup_quotient(self.class_group(), (
             self.class_of(prime.places, gen)
-            for prime in self.primes for gen in bezout_vectors(prime)[1]))
+            for prime in self.primes for gen in kernel_vectors(prime)))
 
 
 class QuadraticOrder(OrderData):
@@ -185,6 +193,7 @@ class QuadraticOrder(OrderData):
         self.field = field
         self.conductor = conductor
         self._classes = {}    # class coordinates per place read, by label
+        self._places = {prime.p: prime.places for prime in self.primes}  # by p
         self._exponents = {}  # v_p(f) per non-invertible prime, by division
         for prime in self.primes:
             v, f = 0, conductor
@@ -202,9 +211,20 @@ class QuadraticOrder(OrderData):
             self._classes[place.label] = class_group(self.field).dlog(place.ideal()).coords
         return self._classes[place.label]
 
-    def place_label(self, token):
-        """Canonical label of the place of the normalization named by token."""
-        return resolve_place(self.field, token).label
+    def _resolve_other(self, token):
+        """Any other spelling, parsed; the places over each p split once."""
+        p, branch = _parse_quadratic_label(token)
+        places = self._places.get(p)
+        if places is None:
+            if not is_prime(p):
+                raise PlaceResolutionError(f"no place {token!r}: {p} is not prime")
+            places = self._places[p] = _splitting(self.field, p)
+        if branch is None and len(places) > 1:
+            raise PlaceResolutionError(f"{p} is split; specify a branch {p}.0 or {p}.1")
+        for place in places:
+            if branch in (None, place.branch):
+                return self._over.get(place.label, (place, None))
+        raise PlaceResolutionError(f"no place {token} over {p}")
 
     def conductor_exponent(self, prime):
         """v_p(f): the conductor is the product of the places over p to v_p(f) * e."""
@@ -241,11 +261,8 @@ class DeclaredOrder(OrderData):
         """The parsed class image, reduced invariant coordinates already."""
         return place.class_image
 
-    def place_label(self, token):
-        """The token itself when it names a place of a selected record;
-        declared data knows no other places."""
-        if token in self._place_to_prime:
-            return token
+    def _resolve_other(self, token):
+        """Declared data knows no places but those of its records."""
         raise PlaceResolutionError(
             f"{token!r} is not a conductor prime of the selection")
 
@@ -272,17 +289,7 @@ def _parse_quadratic_label(label):
 
 def resolve_place(field: QuadField, label):
     """Place of the maximal order from a textual label like '2.0' or '3'."""
-    p, branch = _parse_quadratic_label(label)
-    places = splitting(field, p)
-    if branch is None:
-        if len(places) > 1:
-            raise PlaceResolutionError(
-                f"{p} is split; specify a branch {p}.0 or {p}.1")
-        return places[0]
-    for place in places:
-        if place.branch == branch:
-            return place
-    raise PlaceResolutionError(f"no place {label} over {p}")
+    return QuadraticOrder(field, 1, ()).resolve(label)[0]
 
 
 def order_from_conductor(field: QuadField, f: int) -> QuadraticOrder:
@@ -301,13 +308,13 @@ def pushforward(order: OrderData, D: Divisor) -> Divisor:
         raise ValueError("pushforward expects a divisor over the normalization")
     out = {}
     for label, coeff in D.support.items():
-        label = order.place_label(label)
-        hit = order.prime_for_place(label)
-        if hit is None:
-            out[label] = out.get(label, 0) + coeff  # invertible: degree 1
+        place, prime = order.resolve(label)
+        if place is None:
+            raise PlaceResolutionError(f"{label!r} names a prime, not a place")
+        if prime is None:
+            out[place.label] = out.get(place.label, 0) + coeff  # invertible: degree 1
         else:
-            prime, pl = hit
-            out[prime.label] = out.get(prime.label, 0) + coeff * pl.degree
+            out[prime.label] = out.get(prime.label, 0) + coeff * place.degree
     return Divisor(LEVEL_ORDER, out)
 
 
@@ -320,26 +327,25 @@ def div_over_order(order: OrderData, a: QElement) -> Divisor:
     return pushforward(order, over_max)
 
 
-def bezout_vectors(prime: NonInvertiblePrime):
-    """Q_i and the kernel generators as exponent vectors over ``prime.places``.
+def kernel_vectors(prime: NonInvertiblePrime):
+    """The kernel generators over ``prime.places``, one per place.
 
-    Q_i = sum_j lambda_{i,j} P_{i,j}; the generator of P_{i,j} is
-    (d_{i,j}/g_i) * Q_i - P_{i,j}, which pushes forward to zero.  At the
-    split prime 2 of Q(sqrt(-7)):
+    With Q_i = sum_j lambda_{i,j} P_{i,j} (``prime.lambdas``), the generator
+    of P_{i,j} is (d_{i,j}/g_i) * Q_i - P_{i,j}, which pushes forward to
+    zero.  At the split prime 2 of Q(sqrt(-7)):
 
     >>> from chowkit.quadfield import make_field
     >>> (prime,) = order_from_conductor(make_field(-7), 2).primes
-    >>> bezout_vectors(prime)
+    >>> prime.lambdas, kernel_vectors(prime)
     ((1, 0), [[0, 0], [1, -1]])
     """
-    q = prime.lambdas
     gens = []
     for j, pl in enumerate(prime.places):
         m = pl.degree // prime.g
-        gen = [m * lam for lam in q]
+        gen = [m * lam for lam in prime.lambdas]
         gen[j] -= 1
         gens.append(gen)
-    return q, gens
+    return gens
 
 
 def place_product(field: QuadField, places, exponents) -> QIdeal:
@@ -355,10 +361,10 @@ def place_product(field: QuadField, places, exponents) -> QIdeal:
 
 def kernel_generators(order: OrderData):
     """Generators of ker(pushforward), one divisor per (prime, place) pair:
-    the vectors of ``bezout_vectors`` over the normalization."""
+    the vectors of ``kernel_vectors`` over the normalization."""
     return [Divisor(LEVEL_NORMALIZATION, {
                 pl.label: k for pl, k in zip(prime.places, gen)})
-            for prime in order.primes for gen in bezout_vectors(prime)[1]]
+            for prime in order.primes for gen in kernel_vectors(prime)]
 
 
 def _violator(places, k):
@@ -510,7 +516,7 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
 
     cl = order.class_group()
     pairs = [(element_order(cl, order.class_of(prime.places, gen)), prime.places, gen)
-             for prime in order.primes for gen in bezout_vectors(prime)[1] if any(gen)]
+             for prime in order.primes for gen in kernel_vectors(prime) if any(gen)]
     if not pairs:
         return None
     m, places, gen = min(pairs, key=lambda pair: pair[0])

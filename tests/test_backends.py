@@ -5,16 +5,18 @@ import importlib
 import inspect
 import json
 import random
+import re
 
 import pytest
 
 import chowkit
-from chowkit.chow import chow_group, pic_cardinality
+from chowkit.chow import chow_group, pic_cardinality, principal_divisor_test
 from chowkit.cli import _add_field_flags, main
 from chowkit.declared import declared_order, load_declared
-from chowkit.errors import BackendError
+from chowkit.errors import BackendError, PlaceResolutionError
 from chowkit.ntheory import factorize
 from chowkit.orders import (
+    LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
     conductor_test,
@@ -22,6 +24,7 @@ from chowkit.orders import (
     divisor_kernel_witness,
     order_from_conductor,
     prop_fix_report,
+    pushforward,
     resolve_place,
 )
 from chowkit.quadfield import QElement, check_class_disc, class_group, make_field, splitting
@@ -44,6 +47,56 @@ def test_declared_order_has_no_field_arithmetic(call, selection):
     order = declared_order(load_declared(BIQUAD), selection)
     with pytest.raises(BackendError):
         _DECLARED_REFUSES[call](order)
+
+
+def _orders_and_argv():
+    """One order of each backend, with the CLI flags that build it."""
+    return [(order_from_conductor(make_field(-7), 2), ["--disc", "-7", "--conductor", "2"]),
+            (declared_order(load_declared(BIQUAD), ["main"]),
+             ["--data", BIQUAD, "--order", "main"])]
+
+
+_ENTRY_POINTS = {
+    "principal_divisor_test": lambda o, tok: principal_divisor_test(
+        o, Divisor(LEVEL_ORDER, {tok: 1})),
+    "project": lambda o, tok: chow_group(o).project(Divisor(LEVEL_ORDER, {tok: 1})),
+    "pushforward": lambda o, tok: pushforward(o, Divisor(LEVEL_NORMALIZATION, {tok: 1})),
+}
+
+
+@pytest.mark.parametrize("token", ["X", "2.0.1"])
+@pytest.mark.parametrize("call", sorted(_ENTRY_POINTS))
+def test_unknown_token_is_refused_by_name(call, token):
+    """A token that names no place and no prime raises
+    ``PlaceResolutionError`` naming it, on both backends; on a declared
+    order the principal test and ``project`` raised ``BackendError``."""
+    for order, _ in _orders_and_argv():
+        with pytest.raises(PlaceResolutionError, match=re.escape(repr(token))):
+            _ENTRY_POINTS[call](order, token)
+
+
+@pytest.mark.parametrize("token", ["X", "2.0.1"])
+def test_cli_refuses_unknown_token(capsys, token):
+    for _, argv in _orders_and_argv():
+        assert main(["principal"] + argv + ["--divisor", f"{token}:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(token) in captured.err
+
+
+def test_resolve_on_both_backends():
+    """``order.resolve``: a place with the prime below it, None when
+    invertible; a prime's own label naming no single place gives no place."""
+    quadratic, declared = (order for order, _ in _orders_and_argv())
+    (two,) = quadratic.primes
+    assert quadratic.resolve("2") == (None, two)
+    assert quadratic.resolve("02.1") == quadratic.resolve("2.1") == (two.places[1], two)
+    place, prime = quadratic.resolve("011.0")
+    assert (place.label, prime) == ("11.0", None)
+    (main_prime,) = declared.primes
+    assert declared.resolve("main") == (None, main_prime)
+    assert declared.resolve("Q") == (main_prime.places[1], main_prime)
+    with pytest.raises(PlaceResolutionError, match="'4'"):
+        quadratic.resolve("4")
 
 
 def _furtwangler_line(capsys, argv):
@@ -137,7 +190,8 @@ def test_declared_furtwangler_matches_closed_form(capsys, tmp_path):
 _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_chow_at",
                   "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
                   "invertible_place_class", "residue_units_trivial", "ord_at",
-                  "unit_group_order", "_form_pow", "local_chow", "fabric")
+                  "unit_group_order", "_form_pow", "local_chow", "fabric",
+                  "bezout_vectors")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
@@ -186,6 +240,10 @@ def _owner(kind):
     ("DeclaredOrder", "fabric"),
     ("QuadraticOrder", "place_class"),
     ("DeclaredOrder", "place_class"),
+    ("QuadraticOrder", "place_label"),
+    ("DeclaredOrder", "place_label"),
+    ("QuadraticOrder", "prime_for_place"),
+    ("DeclaredOrder", "prime_for_place"),
     ("FixReport", "residue_units_trivial"),
     ("Divisor", "__neg__"),
     ("Divisor", "__sub__"),

@@ -267,3 +267,24 @@ def test_conductor_test_near_1e18(capsys):
                              "--ideal", "2:1"])
     assert (code, out) == (0, "yes\n")
     assert time.perf_counter() - start < 1.0
+
+
+def test_order_info_at_a_strong_pseudoprime_conductor(capsys):
+    """f = psi_12 = p * q passes Miller-Rabin to the first 12 prime bases;
+    the order has two non-invertible primes, p inert and q split in
+    Q(sqrt(-7)), so |Pic| = (p + 1)(q - 1), where it used to list f as one
+    prime with |Pic| = f + 1."""
+    p, q = 399165290221, 798330580441
+    f = 318665857834031151167461
+    assert p * q == f
+    # Euler's criterion for (-7|p) and (-7|q)
+    assert pow(-7 % p, (p - 1) // 2, p) == p - 1
+    assert pow(-7 % q, (q - 1) // 2, q) == 1
+    code, out = run(capsys, ["order-info", "--disc", "-7", "--conductor", str(f), "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [(pr["p"], pr["residue"], pr["g"]) for pr in doc["primes"]] == [(p, p, 2), (q, q, 1)]
+    assert [[pl["label"] for pl in pr["places"]] for pr in doc["primes"]] == [
+        [str(p)], [f"{q}.0", f"{q}.1"]]
+    assert doc["pic"]["pic"] == (p + 1) * (q - 1)
+    assert doc["chow"] == [2]

@@ -13,9 +13,10 @@ Divisors of elements are read off the normal form of their ideal, with no
 ideal product, and the primes of a conductor, found by ``factorize``, are
 not tested for primality again.
 
-The principal lift and the kernel witness: each invertible label is
-resolved once, no place over the conductor is resolved from its label, and
-no divisor over the normalization is built.
+The principal lift and the kernel witness: each label is resolved once by
+``order.resolve``, no label over the conductor is parsed, and no divisor
+over the normalization is built.  A quadratic order splits each p once, its
+conductor primes never.
 
 The Chow layer: the G/R quotient gets one column per distinct pair
 (g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
@@ -586,44 +587,90 @@ def test_order_from_conductor_tests_no_prime(monkeypatch):
 
 def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):
     """Over Z + 30*O~ in Q(sqrt(-23)) (2 and 3 split, 5 inert):
-    ``principal_divisor_test`` resolves each invertible label of D once and
-    no place over the conductor, and neither it nor
-    ``divisor_kernel_witness`` builds a divisor over the normalization."""
+    ``principal_divisor_test`` resolves each label of D once through
+    ``order.resolve``, parses each invertible label once and no label over
+    the conductor, calls no field-level ``resolve_place``, and neither it
+    nor ``divisor_kernel_witness`` builds a divisor over the
+    normalization."""
     F = make_field(-23)
     order = order_from_conductor(F, 30)
     conductor_labels = {pl.label for prime in order.primes for pl in prime.places}
+    conductor_labels |= {prime.label for prime in order.primes}
     divisors = [div_over_order(order, QElement(F, x, y, 1))
                 for x, y in ((5, 1), (7, 3), (11, 1), (29, 5))]
     divisors += [Divisor(LEVEL_ORDER, {"2": 4, "7": 2, "7.0": -1, "13.1": 3})]
-    resolved = []
+    resolved, parsed, by_field = [], [], []
     levels = []
-    original_resolve = orders.resolve_place
+    original_resolve = OrderData.resolve
+    original_parse = orders.QuadraticOrder._resolve_other
     original_init = Divisor.__init__
 
-    def counting_resolve(field, label):
-        resolved.append(label)
-        return original_resolve(field, label)
+    def counting_resolve(self, token):
+        resolved.append(token)
+        return original_resolve(self, token)
+
+    def counting_parse(self, token):
+        parsed.append(token)
+        return original_parse(self, token)
 
     def counting_init(self, level, support=None):
         levels.append(level)
         original_init(self, level, support)
 
-    monkeypatch.setattr(orders, "resolve_place", counting_resolve)
-    monkeypatch.setattr(chow, "resolve_place", counting_resolve, raising=False)
+    monkeypatch.setattr(OrderData, "resolve", counting_resolve)
+    monkeypatch.setattr(orders.QuadraticOrder, "_resolve_other", counting_parse)
+    monkeypatch.setattr(orders, "resolve_place",
+                        lambda field, label: by_field.append(label))
     monkeypatch.setattr(Divisor, "__init__", counting_init)
     reached = 0
     for D in divisors:
-        del resolved[:]
+        del resolved[:], parsed[:]
         res = chow.principal_divisor_test(order, D)
         reached += res.status == "principal"
         invertible = [l for l in D.support if l not in {p.label for p in order.primes}]
-        assert sorted(resolved) == sorted(invertible), D
-        assert not conductor_labels & set(resolved), D
+        assert sorted(resolved) == sorted(D.support), D
+        assert sorted(parsed) == sorted(invertible), D
+        assert not conductor_labels & set(parsed), D
     assert reached >= 4
-    del resolved[:]
+    del resolved[:], parsed[:]
     assert orders.divisor_kernel_witness(order) is not None
-    assert resolved == []
+    assert resolved == parsed == by_field == []
     assert LEVEL_NORMALIZATION not in levels
+
+
+def test_quadratic_order_splits_each_prime_once(monkeypatch):
+    """Repeated principal tests on one quadratic order split each p once:
+    one primality test and at most one square root mod p per p, however
+    often and however spelled its places are named, and none for a
+    conductor prime, whose places the order holds already."""
+    F = make_field(-23)
+    order = order_from_conductor(F, 30)
+    class_group(F)
+    labels = ["2", "3", "5"]
+    for p in primes_below(60)[3:]:
+        for place in splitting(F, p):
+            labels += [place.label, "0" + place.label]
+    tested, roots = [], []
+    original_is_prime, original_sqrt = orders.is_prime, quadfield.sqrt_mod
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return original_is_prime(n)
+
+    def counting_sqrt(a, p):
+        roots.append(p)
+        return original_sqrt(a, p)
+
+    monkeypatch.setattr(orders, "is_prime", counting_is_prime)
+    monkeypatch.setattr(quadfield, "is_prime", counting_is_prime)
+    monkeypatch.setattr(quadfield, "sqrt_mod", counting_sqrt)
+    rng = random.Random(26)
+    for _ in range(200):
+        support = {tok: rng.randint(-3, 3) for tok in rng.sample(labels, 4)}
+        chow.principal_divisor_test(order, Divisor(LEVEL_ORDER, support))
+    named = set(primes_below(60)[3:])
+    assert sorted(tested) == sorted(named)
+    assert len(roots) == len(set(roots)) and set(roots) <= named
 
 
 # h = 1268, spanned by the classes of 1 + 64 candidate forms

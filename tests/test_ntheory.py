@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from chowkit import ntheory
 from chowkit.ntheory import factorize, is_prime
 
 
@@ -58,3 +59,65 @@ def test_large_inputs(n, expected):
     _check(n, f)
     assert f == expected
     assert factorize(-n) == f
+
+
+# psi_9, psi_12 and psi_13, the least strong pseudoprimes to the first 9, 12
+# and 13 prime bases, with their factors
+PSI_FACTORS = {
+    3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+    318665857834031151167461: {399165290221: 1, 798330580441: 1},
+    3317044064679887385961981: {1287836182261: 1, 2575672364521: 1},
+}
+
+
+@pytest.mark.parametrize("psi", sorted(PSI_FACTORS))
+def test_strong_pseudoprimes_are_composite(psi):
+    assert not is_prime(psi)
+    f = factorize(psi)
+    assert f == PSI_FACTORS[psi]
+    _check(psi, f)
+
+
+@pytest.mark.parametrize("below, above", [
+    (318665857834031151167441, 318665857834031151167483),
+    (3317044064679887385961813, 3317044064679887385962123),
+])
+def test_primes_next_to_psi_12_and_psi_13(below, above):
+    assert [n for n in range(below, above + 1) if is_prime(n)] == [below, above]
+
+
+def test_psi_table_is_composite_and_passes_its_bases():
+    for t, psi in enumerate(ntheory._PSI, 1):
+        assert (PSI_FACTORS.get(psi) or factorize(psi)) != {psi: 1}, t
+        assert all(ntheory._strong_probable_prime(psi, a) for a in ntheory._MR_BASES[:t]), t
+
+
+def test_is_prime_matches_trial_division():
+    # below 2**24 factorize is trial division alone, with no primality test
+    for n in range(-5, 10**5):
+        assert is_prime(n) == (factorize(n) == {n: 1}), n
+
+
+def test_strong_lucas_test():
+    # the strong Lucas pseudoprimes below 30000 (OEIS A217255) pass it, and
+    # so does every prime; every other odd n with no factor up to 41 fails
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199}
+    for n in range(43, 30000, 2):
+        if any(n % p == 0 for p in ntheory._MR_BASES):
+            continue
+        expected = n in pseudoprimes or factorize(n) == {n: 1}
+        assert ntheory._strong_lucas_probable_prime(n) == expected, n
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**83 - 1, False),              # 167 * 57912614113275649087721
+    (2**89 - 1, True),               # Mersenne primes above psi_13
+    (2**107 - 1, True),
+    (2**127 - 1, True),
+    ((2**61 - 1) * (2**31 - 1), False),
+    ((2**89 - 1) ** 2, False),       # a square: no Selfridge parameter
+    (3317044064679887385961981 * 1000003, False),
+])
+def test_primality_above_psi_13(n, prime):
+    assert n >= ntheory._PSI[-1]
+    assert is_prime(n) == prime

@@ -17,11 +17,11 @@ from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
     Divisor,
-    bezout_vectors,
     conductor_test,
     div_over_order,
     divisor_kernel_witness,
     kernel_generators,
+    kernel_vectors,
     order_from_conductor,
     order_from_ideal,
     place_product,
@@ -364,7 +364,7 @@ def test_kernel_witness_matches_label_keyed_divisors(monkeypatch):
 
 def test_fabric_n_generators_are_kernel_vector_classes():
     """The N generators of the fabric, ``order.class_of`` of the kernel
-    vectors of ``bezout_vectors``, are the classes of those vectors summed
+    vectors of ``kernel_vectors``, are the classes of those vectors summed
     place by place, and ``kernel_generators`` spells the vectors as the
     label-keyed divisors (d_{i,j}/g_i) Q_i - P_{i,j}."""
     decl = random_declared_field(random.Random(7), 12, (2, 6))
@@ -376,7 +376,7 @@ def test_fabric_n_generators_are_kernel_vector_classes():
         cl, _, n_gens = fabric_of(O)
         classes = []
         for prime in O.primes:
-            for gen in bezout_vectors(prime)[1]:
+            for gen in kernel_vectors(prime):
                 c = cl.identity()
                 for pl, k in zip(prime.places, gen):
                     c = c + k * O.class_of([pl], [1])

@@ -19,7 +19,7 @@ from chowkit.orders import (
     Divisor,
     NonInvertiblePrime,
     QuadraticOrder,
-    bezout_vectors,
+    kernel_vectors,
     order_from_conductor,
     resolve_place,
 )
@@ -390,10 +390,10 @@ def subgroup_quotient_by_raw_rows(G, subgen):
 def fabric_by_group_arithmetic(order):
     """(Cl, [Q_i], N generators) by group-element arithmetic: the reference
     for ``order.class_group()``, ``chow_group(order).q_classes`` and the
-    classes ``order.class_of`` gives the kernel vectors of
-    ``bezout_vectors``.  A declared class image is read as a vector in the
-    class group's presentation coordinates (``member``), a quadratic place's
-    class is its ``dlog``."""
+    classes ``order.class_of`` gives the vectors of ``kernel_vectors``.  A
+    declared class image is read as a vector in the class group's
+    presentation coordinates (``member``), a quadratic place's class is its
+    ``dlog``."""
     cl = order.class_group()
     declared = isinstance(order, DeclaredOrder)
     q_classes = []
@@ -413,13 +413,13 @@ def fabric_by_group_arithmetic(order):
 
 def fabric_of(order):
     """(Cl, [Q_i], kernel classes) through the order's own class map:
-    ``order.class_of`` of the vectors of ``bezout_vectors``, one Q_i per
-    prime and one kernel class per (prime, place)."""
-    vectors = [(prime.places, bezout_vectors(prime)) for prime in order.primes]
+    ``order.class_of`` of ``prime.lambdas`` and of the vectors of
+    ``kernel_vectors``, one Q_i per prime and one kernel class per (prime,
+    place)."""
     return (order.class_group(),
-            tuple(order.class_of(places, q) for places, (q, _) in vectors),
-            tuple(order.class_of(places, gen)
-                  for places, (_, gens) in vectors for gen in gens))
+            tuple(order.class_of(prime.places, prime.lambdas) for prime in order.primes),
+            tuple(order.class_of(prime.places, gen)
+                  for prime in order.primes for gen in kernel_vectors(prime)))
 
 
 def chow_by_full_presentation(order):
