@@ -264,7 +264,9 @@ def declared_order(decl: DeclaredField, active_primes) -> DeclaredOrder:
     """Order carved out of a declared field by selecting conductor primes.
 
     ``active_primes`` is an iterable of record labels; an empty selection
-    yields the maximal order.  Selected records must not share place labels.
+    yields the maximal order.  Selected records must not share place labels,
+    and no selected record may be labeled like a place of another one, or
+    the label would name both (``PlaceResolutionError``).
     """
     selection = tuple(active_primes)
     seen = set()

@@ -150,8 +150,10 @@ class OrderData:
                         f"place {pl.label} appears under two selected primes")
                 self._over[pl.label] = (pl, prime)
         for prime in self.primes:
-            if self._over.get(prime.label, (None, None))[1] is not prime:
-                self._over[prime.label] = (None, prime)
+            owner = self._over.setdefault(prime.label, (None, prime))[1]
+            if owner is not prime:
+                raise PlaceResolutionError(
+                    f"{prime.label} names a selected prime and a place of {owner.label}")
 
     @property
     def is_maximal(self):
@@ -390,20 +392,23 @@ def conductor_test(field: QuadField, exponents):
 
     ``exponents`` maps place labels to integers k >= 0.  Returns
     (is_conductor, violating_label_or_None); the criterion is checked per
-    rational prime and combined multiplicatively.
+    rational prime and combined multiplicatively.  One maximal order
+    resolves every label and keeps the places over each p, so each p is
+    split once.
     """
+    maximal = QuadraticOrder(field, 1, ())
     by_p = {}
     for label, k in exponents.items():
         k = int(k)
         if k < 0:
             raise ValueError("exponents must be >= 0")
-        place = resolve_place(field, label)
+        place = maximal.resolve(label)[0]
         kmap = by_p.setdefault(place.p, {})
         if place.label in kmap:
             raise PlaceResolutionError(f"place {place.label} given twice")
         kmap[place.label] = k
     for p in sorted(by_p):
-        places = _splitting(field, p)
+        places = maximal._places[p]
         viol = _violator(places, [by_p[p].get(pl.label, 0) for pl in places])
         if viol is not None:
             return False, viol

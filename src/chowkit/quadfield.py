@@ -8,7 +8,8 @@ Fixed conventions used throughout:
     and den > 0, in lowest terms;
   * an integral primitive ideal is a*Z + (b + w)*Z with a > 0, 0 <= b < a
     and a | N(b + w); a fractional ideal carries a positive rational
-    content on top of a primitive part;
+    content on top of a primitive part, an int when it is integral and a
+    Fraction otherwise;
   * for a split prime p, branch 0 is the place whose normal-form b is the
     smaller representative in [0, p), which keeps conjugate places stable
     across runs.
@@ -201,8 +202,7 @@ class QElement:
                         num.x * n.denominator, num.y * n.denominator,
                         num.den * n.numerator)
 
-    def scaled(self, r: Fraction):
-        r = Fraction(r)
+    def scaled(self, r: int | Fraction):
         return QElement(self.field, self.x * r.numerator, self.y * r.numerator,
                         self.den * r.denominator)
 
@@ -260,7 +260,7 @@ class PrimePlace:
     def ideal(self):
         """The place as a QIdeal: p*Z[w] when inert, else p*Z + (b + w)*Z."""
         if self.kind == "inert":
-            return QIdeal(self.field, 1, 0, Fraction(self.p))
+            return QIdeal(self.field, 1, 0, self.p)
         return QIdeal(self.field, self.p, self.b)
 
     def __str__(self):
@@ -302,12 +302,18 @@ def _splitting(field: QuadField, p: int):
     )
 
 
+def _content(c):
+    """A positive rational content as stored: an int when it is integral,
+    else the Fraction, so products of integral ideals make no Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class QIdeal:
     """Fractional ideal content * (a*Z + (b + w)*Z) in normal form."""
 
     __slots__ = ("field", "a", "b", "content")
 
-    def __init__(self, field, a, b, content=Fraction(1)):
+    def __init__(self, field, a, b, content=1):
         a = int(a)
         if a <= 0:
             raise ValueError("leading coefficient must be positive")
@@ -315,7 +321,8 @@ class QIdeal:
         nb = b * b + b * field.d + field.omega_norm
         if nb % a:
             raise ValueError(f"({a}, {b}) is not an ideal lattice: a does not divide N(b+w)")
-        content = Fraction(content)
+        if type(content) is not int:
+            content = _content(Fraction(content))
         if content <= 0:
             raise ValueError("content must be positive")
         self.field = field
@@ -324,21 +331,35 @@ class QIdeal:
         self.content = content
 
     @classmethod
-    def unit_ideal(cls, field):
-        return cls(field, 1, 0)
+    def _normal(cls, field, a, b, content):
+        """An ideal from parts already in normal form (0 <= b < a, a divides
+        N(b + w), content stored by ``_content``), with no check."""
+        out = object.__new__(cls)
+        out.field = field
+        out.a = a
+        out.b = b
+        out.content = content
+        return out
 
-    def norm(self) -> Fraction:
+    @classmethod
+    def unit_ideal(cls, field):
+        return cls._normal(field, 1, 0, 1)
+
+    def norm(self) -> int | Fraction:
         return self.a * self.content * self.content
 
     def primitive(self):
-        return QIdeal(self.field, self.a, self.b)
+        return QIdeal._normal(self.field, self.a, self.b, 1)
 
     def conj(self):
-        return QIdeal(self.field, self.a, (-self.b - self.field.d) % self.a, self.content)
+        return QIdeal._normal(self.field, self.a, (-self.b - self.field.d) % self.a,
+                              self.content)
 
     def inverse(self):
         prim = self.conj()
-        return QIdeal(self.field, prim.a, prim.b, 1 / (self.content * self.a))
+        c = self.content * self.a
+        return QIdeal._normal(self.field, prim.a, prim.b,
+                              _content(Fraction(c.denominator, c.numerator)))
 
     def __mul__(self, other):
         """Product by Dirichlet composition of the forms of the primitive parts.
@@ -360,7 +381,8 @@ class QIdeal:
         f1, f2 = self.form(), other.form()
         g = gcd(gcd(f1[0], f2[0]), (f1[1] + f2[1]) // 2)
         a, b, _ = _compose(f1, f2, d)
-        return QIdeal(self.field, a, (b - d) // 2, self.content * other.content * g)
+        return QIdeal._normal(self.field, a, (b - d) // 2 % a,
+                              _content(self.content * other.content * g))
 
     def __pow__(self, n):
         """Left-to-right square-and-multiply: for n >= 1, bit_length(n) - 1
@@ -414,7 +436,7 @@ def principal_ideal(alpha: QElement) -> QIdeal:
     g = gcd(u, v)
     u, v = u // g, v // g
     a = abs(u * u + field.d * u * v + field.omega_norm * v * v)
-    return QIdeal(field, a, u * pow(v, -1, a), Fraction(g, den))
+    return QIdeal._normal(field, a, u * pow(v, -1, a) % a, _content(Fraction(g, den)))
 
 
 def element_divisor(field: QuadField, a: QElement) -> dict:
@@ -792,7 +814,7 @@ def is_principal(field: QuadField, I: QIdeal, max_steps=None):
                     z = nxt
                     walk.append(z)
     best = min((u * z for u in torsion_units(field) for z in walk),
-               key=lambda z: (abs(z.y), z.norm() < 0, -z.x, -z.y))
+               key=lambda z: (abs(z.y), z.x * z.x < z.y * z.y * d, -z.x, -z.y))
     return best.scaled(I.content)
 
 

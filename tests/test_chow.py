@@ -19,7 +19,7 @@ from chowkit.chow import (
     principal_divisor_test,
 )
 from chowkit.declared import declared_order, load_declared, parse_declared
-from chowkit.errors import BackendError, PlaceResolutionError
+from chowkit.errors import BackendError, FieldInputError, PlaceResolutionError
 from chowkit.orders import (
     LEVEL_NORMALIZATION,
     LEVEL_ORDER,
@@ -28,8 +28,15 @@ from chowkit.orders import (
     order_from_conductor,
     pushforward,
 )
-from chowkit.ntheory import primes_below
-from chowkit.quadfield import QElement, class_group, make_field, splitting
+from chowkit.ntheory import factorize, primes_below
+from chowkit.quadfield import (
+    QElement,
+    class_group,
+    class_prime_bound,
+    fundamental_unit,
+    make_field,
+    splitting,
+)
 from util import (
     LIFT_CONDUCTORS,
     LIFT_FIELDS,
@@ -438,6 +445,52 @@ def test_find_trivial_matches_full_scan():
     for d in fundamental_discriminants(3000):
         F = make_field(d)
         assert find_trivial_chow_conductor(F, 100) == find_trivial_by_scan(F, 100), d
+
+
+def _genus_sample(rng, sign, count, bound=10**5):
+    """``count`` distinct fundamental discriminants of the given sign, with
+    |d| drawn uniformly below ``bound``."""
+    out = set()
+    while len(out) < count:
+        d = sign * rng.randint(3, bound)
+        try:
+            make_field(d)
+        except FieldInputError:
+            continue
+        out.add(d)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("sign", (-1, 1))
+def test_genus_theory_oracle(sign):
+    """Genus theory, with t the number of primes dividing d: the 2-rank of
+    Cl is t - 1 for d < 0, and lies in [t - 2, t - 1] for d > 0, with t - 1
+    when N(eps) = -1 (then the narrow and wide class groups agree).  A
+    conductor with trivial Chow group is found exactly when |Cl| is odd, so
+    for d < 0 exactly when t = 1, and every one found has a trivial Chow
+    group by ``chow_group``."""
+    rng = random.Random(15 + sign)
+    seen = {"found": 0, "t>=3": 0, "N(eps)=-1": 0}
+    for d in _genus_sample(rng, sign, 300):
+        F = make_field(d)
+        t = len(factorize(abs(d)))
+        cl = class_group(F).group
+        two_rank = sum(1 for m in cl.invariant_factors if m % 2 == 0)
+        f = find_trivial_chow_conductor(F, class_prime_bound(d))
+        assert (f is not None) == (cl.cardinality() % 2 == 1), d
+        if d < 0:
+            assert two_rank == t - 1, d
+            assert (f is not None) == (t == 1), d
+        else:
+            assert t - 2 <= two_rank <= t - 1, d
+            if fundamental_unit(F).norm() == -1:
+                assert two_rank == t - 1, d
+                seen["N(eps)=-1"] += 1
+        if f is not None:
+            assert chow_group(order_from_conductor(F, f)).result.is_trivial(), (d, f)
+            seen["found"] += 1
+        seen["t>=3"] += t >= 3
+    assert seen["found"] and seen["t>=3"] and (sign < 0 or seen["N(eps)=-1"]), seen
 
 
 def test_find_trivial_memory_does_not_grow_with_budget():

@@ -38,6 +38,7 @@ import json
 import random
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -557,6 +558,28 @@ def test_place_product_cost(monkeypatch):
     assert I == expected
 
 
+def test_ideal_products_skip_the_checking_constructor(monkeypatch):
+    """Products, powers, inverses and conjugates build their ideals from
+    parts that composition leaves in normal form: ``QIdeal.__init__``, which
+    checks the parts of an ideal given from outside, runs zero times."""
+    F = make_field(-23)
+    ideals = [pl.ideal() for p in (2, 3, 5, 13) for pl in splitting(F, p)]
+    ideals.append(QIdeal(F, 1, 0, Fraction(1, 6)))
+    calls = []
+    original = QIdeal.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(QIdeal, "__init__", counting)
+    rng = random.Random(27)
+    for _ in range(100):
+        I = rng.choice(ideals) * rng.choice(ideals).conj() ** rng.randint(-5, 5)
+        assert I * I.inverse() == QIdeal.unit_ideal(F)
+    assert calls == []
+
+
 def test_element_divisor_makes_no_ideal_product(monkeypatch):
     """The generator of P^64, P over 11 in Q(sqrt(-7)), has its divisor read
     off its normal form, where dividing out powers of P took 64 products."""
@@ -583,6 +606,28 @@ def test_order_from_conductor_tests_no_prime(monkeypatch):
     order = order_from_conductor(make_field(-23), 210)
     assert [prime.p for prime in order.primes] == [2, 3, 5, 7]
     assert calls == []
+
+
+def test_conductor_test_splits_each_prime_once(monkeypatch):
+    """``conductor_test`` resolves its labels and reads the places over each
+    p from one maximal order: one ``_splitting`` call per distinct p, where
+    it split p once per label and once more per p."""
+    F = make_field(-23)
+    exponents = {"2.0": 1, "2.1": 1, "3.0": 2, "03.1": 2, "5": 1, "23": 2, "13.1": 1}
+    calls = []
+    original = orders._splitting
+
+    def counting(field, p):
+        calls.append(p)
+        return original(field, p)
+
+    monkeypatch.setattr(orders, "_splitting", counting)
+    assert orders.conductor_test(F, exponents) == (False, "13.1")
+    assert sorted(calls) == [2, 3, 5, 13, 23]
+    del calls[:]
+    del exponents["13.1"]
+    assert orders.conductor_test(F, exponents) == (True, None)
+    assert sorted(calls) == [2, 3, 5, 23]
 
 
 def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):

@@ -12,7 +12,7 @@ from chowkit.declared import (
     parse_declared,
     serialize_declared,
 )
-from chowkit.errors import DeclaredDataError
+from chowkit.errors import DeclaredDataError, PlaceResolutionError
 from chowkit.orders import order_from_conductor
 from chowkit.quadfield import make_field
 from util import random_declared_field, transcribe_to_declared
@@ -130,6 +130,26 @@ def test_selection_rules():
     with pytest.raises(Exception) as err:
         declared_order(quintic, ["p1", "p7"])
     assert "P1" in str(err.value)
+
+
+def test_selection_refuses_a_record_label_naming_another_place():
+    """Records ``A`` (place ``B1``) and ``B`` (place ``A``) parse, and each
+    can be selected, but selected together the token ``A`` would name both
+    a prime and a place: the selection is refused, as for a shared place."""
+    def record(label, place):
+        return {"label": label, "p": 7, "residue_size_below": 7,
+                "places": [{"label": place, "degree": 1, "ramification": 1,
+                            "class_image": []}]}
+
+    decl = parse_declared(json.dumps({
+        "description": "a record label that is a place label of another record",
+        "class_invariants": [],
+        "conductor_primes": [record("A", "B1"), record("B", "A")]}))
+    assert declared_order(decl, ["A"]).resolve("A") == (None, decl.prime("A"))
+    assert declared_order(decl, ["B"]).resolve("A")[1] is decl.prime("B")
+    for selection in (["A", "B"], ["B", "A"]):
+        with pytest.raises(PlaceResolutionError, match="A names a selected prime"):
+            declared_order(decl, selection)
 
 
 def test_declared_order_fabric():

@@ -109,6 +109,50 @@ def test_ideal_normal_form_and_mul():
         assert (I * J).norm() == I.norm() * J.norm()
 
 
+def test_integral_content_is_an_int():
+    """An integral content is stored as an int, products of integral ideals
+    make no Fraction, and a content with a denominator stays a Fraction."""
+    F = make_field(-23)
+    places = [pl.ideal() for p in (2, 3, 5, 7) for pl in splitting(F, p)]
+    assert splitting(F, 5)[0].kind == "inert"
+    ideals = places + [QIdeal(F, 2, 0), QIdeal.unit_ideal(F),
+                       QIdeal(F, 1, 0, Fraction(6, 2)), principal_ideal(QElement(F, 6, 2, 1))]
+    rng = random.Random(27)
+    for _ in range(200):
+        I = rng.choice(ideals) * rng.choice(ideals) ** rng.randint(0, 4)
+        assert type(I.content) is int, I
+    half = QIdeal(F, 1, 0, Fraction(1, 2))
+    assert type(half.content) is Fraction
+    assert type((half * half).content) is Fraction
+    assert type((half * QIdeal(F, 1, 0, 2)).content) is int
+    assert type(principal_ideal(QElement(F, 1, 1, 3)).content) is Fraction
+
+
+def test_int_and_fraction_content_agree():
+    """The stored type of a content is invisible: equal ideals compare
+    equal and have equal hash and repr either way."""
+    F = make_field(-7)
+    I = QIdeal(F, 2, 0, 3)
+    J = QIdeal._normal(F, 2, 0, Fraction(3))
+    assert type(I.content) is int and type(J.content) is Fraction
+    assert I == J and hash(I) == hash(J) and repr(I) == repr(J)
+    assert I.norm() == J.norm() == 18
+
+
+def test_inverse_content_is_an_exact_fraction():
+    F = make_field(-23)
+    for p in (2, 3, 5, 7):
+        for pl in splitting(F, p):
+            P = pl.ideal()
+            inv = P.inverse()
+            assert type(inv.content) is Fraction, (p, inv)
+            assert P * inv == QIdeal.unit_ideal(F)
+            assert type((P * inv).content) is int
+    I = QIdeal(F, 1, 0, Fraction(1, 6))
+    assert I.inverse() == QIdeal(F, 1, 0, 6) and type(I.inverse().content) is int
+    assert type(QIdeal.unit_ideal(F).inverse().content) is int
+
+
 # both signs; units of order 6 and 4, large class groups, and every
 # splitting type of 2 (d = 1 mod 8, 5 mod 8, even)
 ORACLE_DISCS = (-3, -4, -7, -8, -20, -23, -84, -455, -3299, -837191,
