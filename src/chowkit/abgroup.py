@@ -31,8 +31,9 @@ Conventions:
   * a group remembers the presentation it came from: ``basis_change`` maps
     row vectors in the original generator coordinates to invariant-factor
     coordinates, ``generator_lifts`` goes the other way (one row per
-    factor).  A group given no presentation has the identity for both; one
-    given a ``basis_change`` and no lifts has ``generator_lifts`` None.
+    factor).  A group given no presentation has None for both, and its
+    ``member`` reads a vector as its coordinates; one given a
+    ``basis_change`` and no lifts has ``generator_lifts`` None.
 
 All arithmetic is on Python integers, so nothing overflows.
 """
@@ -68,10 +69,6 @@ class IntMatrix:
         self._data = data
         self.rows = len(data)
         self.cols = width
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def __getitem__(self, key):
         i, j = key
@@ -323,12 +320,8 @@ class AbelianGroup:
                 raise ValueError(f"divisibility chain broken at {factors[i - 1]} | {d}")
         self.invariant_factors = factors
         k = len(factors)
-        if basis_change is None:
-            basis_change = IntMatrix.identity(k)
-            if generator_lifts is None:
-                generator_lifts = basis_change
-        if basis_change.cols != k or (generator_lifts is not None
-                                      and generator_lifts.rows != k):
+        if (basis_change is not None and basis_change.cols != k
+                or generator_lifts is not None and generator_lifts.rows != k):
             raise ValueError("transform shape mismatch")
         self.basis_change = basis_change
         self.generator_lifts = generator_lifts
@@ -340,7 +333,7 @@ class AbelianGroup:
     @property
     def user_rank(self):
         """Number of generators of the presentation this group came from."""
-        return self.basis_change.rows
+        return self.rank if self.basis_change is None else self.basis_change.rows
 
     def cardinality(self):
         """Group order, or None when there is a free summand."""
@@ -364,7 +357,9 @@ class AbelianGroup:
             raise ValueError(
                 f"vector length {len(vector)} does not match generator count {self.user_rank}"
             )
-        return GroupElement(self, self.basis_change.mul_vec(vector))
+        if self.basis_change is not None:
+            vector = self.basis_change.mul_vec(vector)
+        return GroupElement(self, vector)
 
     def element(self, coords):
         """Element directly from invariant-factor coordinates."""

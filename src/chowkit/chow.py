@@ -21,13 +21,14 @@ relation p_i = [Q_i] and is eliminated, one with [Q_i] = 0 in Cl/N splits
 off Z/g_i, and primes with equal (g_i, [Q_i]) split off Z/g_i after the
 first, so the Smith normal form sees only one prime per distinct pair with
 [Q_i] != 0 and the generators of Cl/N.  The parts are merged into invariant
-factors over a coprime base of their orders; the unreduced R is built only
-when read.  The same data yields the exact-sequence decomposition
-(image of the push-forward, local parts Z/g_i) and drives the principal
-divisor test: membership in the push-forward image, an ideal lift, a class
-check that is one membership test in the order's Cl/N (``cl_mod_n``, built
-once per order and shared with the Chow group), and finally a
-principal-ideal generator of the corrected lift, multiplied out from the
+factors over a coprime base of their orders, and each prime keeps its route
+into them, which ``ChowPresentation.member`` follows: no map with a row per
+prime is built, and the unreduced R is built only when read.  The same data
+yields the exact-sequence decomposition (image of the push-forward, local
+parts Z/g_i) and drives the principal divisor test: membership in the
+push-forward image, an ideal lift, a class check that is one membership
+test in the order's Cl/N (``cl_mod_n``, built once per order and shared
+with the Chow group), and finally a principal-ideal generator of the corrected lift, multiplied out from the
 order's own places; only then are all kernel classes built, for
 ``solve_combination`` to pick the kernel correction.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
@@ -78,20 +79,25 @@ from .quadfield import (
 class ChowPresentation:
     """Chow group as a quotient G/R, with a divisor projection.
 
-    ``result`` is G/R presented on all r + k generators (``user_rank``):
-    the primes p_i, then the generators of Cl/N.  Its ``basis_change``
-    comes from the split of G/R that ``chow_group`` makes, not from the
-    Smith normal form of the unreduced G/R matrix: the group, ``project``
-    up to that isomorphism, and every CLI output are the same.  It has no
-    ``generator_lifts``.  ``cl_mod_n`` is the order's own ``cl_mod_n``,
-    the one Cl/N that the principal test reads too.  ``relations``, the
-    unreduced R, is built only when read.
+    ``result`` is the Chow group in invariant-factor form, given no
+    presentation.  ``member`` maps a vector over the r + k generators of G,
+    the primes p_i and then the generators of Cl/N, into it through the
+    split that ``chow_group`` made: each prime's route (``routes``), the
+    part ``rest`` of G/R that reached the Smith normal form, and the
+    coordinate maps ``slots`` of ``cyclic_sum``.  The map is not the one of
+    the unreduced G/R matrix's Smith normal form: the group, ``project`` up
+    to that isomorphism, and every CLI output are the same.  ``cl_mod_n``
+    is the order's own ``cl_mod_n``, the one Cl/N that the principal test
+    reads too.  ``relations``, the unreduced R, is built only when read.
     """
 
     order: OrderData
     q_classes: tuple                 # classes [Q_i], one per prime
     cl_mod_n: AbelianGroup
     result: AbelianGroup
+    rest: AbelianGroup               # on the t primes sent to it, then Cl/N's k
+    routes: list                     # per prime: (pairs (j, c) over rest, summand or None)
+    slots: list                      # cyclic_sum's map from the summands to result
 
     @cached_property
     def relations(self) -> IntMatrix:
@@ -104,6 +110,26 @@ class ChowPresentation:
             rows.append(row)
         return IntMatrix(rows, cols=r + self.cl_mod_n.rank)
 
+    def member(self, vector) -> GroupElement:
+        """Element of the Chow group from a vector over the r + k generators:
+        each prime's route, then ``rest``, then ``slots``."""
+        vector = tuple(map(int, vector))
+        r, k = len(self.routes), self.cl_mod_n.rank
+        if len(vector) != r + k:
+            raise ValueError(
+                f"vector length {len(vector)} does not match generator count {r + k}")
+        x = [0] * (self.rest.user_rank - k) + list(vector[r:])  # over rest
+        summands = {}  # summand l of the cyclic sum: rest's factors, then the Z/g_i
+        for a, (pairs, l) in zip(vector, self.routes):
+            if a:
+                for j, c in pairs:
+                    x[j] += a * c
+                if l is not None:
+                    summands[l] = a
+        summands.update(enumerate(self.rest.member(x).coords))
+        return self.result.element(
+            [sum(u * summands.get(l, 0) for l, u in slot) for slot in self.slots])
+
     def project(self, D: Divisor) -> GroupElement:
         """Class of a divisor over the order in the Chow group."""
         if D.level != LEVEL_ORDER:
@@ -111,8 +137,7 @@ class ChowPresentation:
         order = self.order
         avec = [D.coefficient(prime.label) for prime in order.primes]
         s = order.class_of(*_invertible_part(order, D))
-        sbar = self.cl_mod_n.member(s.coords)
-        return self.result.member(avec + list(sbar.coords))
+        return self.member(avec + list(self.cl_mod_n.member(s.coords).coords))
 
 
 def _invertible_part(order: OrderData, D: Divisor):
@@ -137,7 +162,7 @@ def chow_group(order: OrderData) -> ChowPresentation:
 
     * A prime with g_i = 1 has the relation p_i = qbar_i, qbar_i the image
       of [Q_i] in Cl/N, so its generator and its relation are eliminated:
-      its row of ``basis_change`` is the image of qbar_i.
+      its route is qbar_i.
     * A prime with g_i > 1 and qbar_i = 0 splits off Z/g_i on p_i.
     * Primes with the same (g, qbar), qbar != 0, have the same relation, so
       after the first of them, p_rep, each further p_j gives the unimodular
@@ -149,8 +174,11 @@ def chow_group(order: OrderData) -> ChowPresentation:
       left.
 
     ``cyclic_sum`` merges the split-off parts and the factors of that
-    quotient into one divisibility chain, and the result's ``basis_change``
-    is built from its coordinate maps for all r + k generators.
+    quotient into one divisibility chain.  Each prime keeps its route into
+    those summands: its image over ``rest``'s generators (its own position
+    when it reached the Smith normal form, that of p_rep, or qbar_i when
+    g_i = 1) and the summand it splits off, if any.  No map with a row per
+    prime is built.
     """
     q_classes = tuple(order.class_of(prime.places, prime.lambdas)
                       for prime in order.primes)
@@ -182,43 +210,19 @@ def chow_group(order: OrderData) -> ChowPresentation:
         row[pos] = order.primes[i].g
         rows.append(row)
     rest = quotient(t + k, rows)
-    n_rest = rest.rank
     factors, slots = cyclic_sum(
         rest.invariant_factors + tuple(order.primes[i].g for i, _ in split))
-    rank = len(factors)
 
-    # coordinates: summand l of the cyclic sum goes to the factors of spread[l]
-    spread = [[] for _ in range(n_rest + len(split))]
-    for j, slot in enumerate(slots):
-        for l, u in slot:
-            spread[l].append((j, u))
-
-    def coordinates(x):
-        """Final coordinates of a vector x over the factors of ``rest``."""
-        row = [0] * rank
-        for l, c in enumerate(x):
-            if c:
-                for j, u in spread[l]:
-                    row[j] += c * u
-        return [a % d for a, d in zip(row, factors)]
-
-    rest_rows = [coordinates(x) for x in rest.basis_change.tolists()]
-    cl_rows = IntMatrix(rest_rows[t:], cols=rank)
-    # tuples, so that ``IntMatrix`` shares one row among the primes of a qbar
-    moved = {qbar: tuple([a % d for a, d in zip(cl_rows.mul_vec(qbar), factors)])
-             for qbar in dict.fromkeys(qbars)}
-    prime_rows = [moved[qbar] for qbar in qbars]
-    for i, row in zip(sent, rest_rows):
-        prime_rows[i] = row
-    for l, (i, rep) in enumerate(split, n_rest):
-        row = list(prime_rows[rep]) if rep is not None else [0] * rank
-        for j, u in spread[l]:
-            row[j] = (row[j] + u) % factors[j]
-        prime_rows[i] = row
-
-    result = AbelianGroup(
-        factors, basis_change=IntMatrix(prime_rows + rest_rows[t:], cols=rank))
-    return ChowPresentation(order, q_classes, cl_mod_n, result)
+    # one route per distinct qbar, shared by the primes with g_i = 1
+    by_qbar = {qbar: (tuple((t + j, c) for j, c in enumerate(qbar) if c), None)
+               for qbar in dict.fromkeys(qbars)}
+    routes = [by_qbar[qbar] for qbar in qbars]
+    for pos, i in enumerate(sent):
+        routes[i] = (((pos, 1),), None)
+    for l, (i, rep) in enumerate(split, rest.rank):
+        routes[i] = (routes[rep][0] if rep is not None else (), l)
+    return ChowPresentation(order, q_classes, cl_mod_n, AbelianGroup(factors),
+                            rest, routes, slots)
 
 
 @dataclass

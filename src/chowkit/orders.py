@@ -62,7 +62,6 @@ from .quadfield import (
     fundamental_unit,
     is_principal,
     _splitting,
-    residue_unit_cardinality,
     torsion_units,
 )
 
@@ -233,8 +232,16 @@ class QuadraticOrder(OrderData):
         return self._exponents[prime.p]
 
     def residue_unit_order(self):
-        """|(O~/F)^*|, from the stored factorization of f."""
-        return residue_unit_cardinality(self.field, self._exponents)
+        """|(O~/F)^*|: each place over a conductor prime p, of residue size
+        q = p^degree, divides F = f*O~ to the power n = v_p(f)*e and
+        contributes q^(n-1)*(q - 1)."""
+        out = 1
+        for prime in self.primes:
+            v = self._exponents[prime.p]
+            for place in prime.places:
+                q, n = prime.p ** place.degree, v * place.e
+                out *= q ** (n - 1) * (q - 1)
+        return out
 
 
 class DeclaredOrder(OrderData):

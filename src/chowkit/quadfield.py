@@ -817,16 +817,3 @@ def is_principal(field: QuadField, I: QIdeal, max_steps=None):
                key=lambda z: (abs(z.y), z.x * z.x < z.y * z.y * d, -z.x, -z.y))
     return best.scaled(I.content)
 
-
-def residue_unit_cardinality(field: QuadField, exponents: dict) -> int:
-    """Order of (Z[w] / f*Z[w])^* from the factorization {p: v_p(f)} of f.
-
-    Each place over p, of residue size q = p^degree, divides f*Z[w] to the
-    power n = v_p(f)*e and contributes q^(n-1)*(q - 1).
-    """
-    out = 1
-    for p, v in exponents.items():
-        for place in _splitting(field, p):
-            q, n = p ** place.degree, v * place.e
-            out *= q ** (n - 1) * (q - 1)
-    return out

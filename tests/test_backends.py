@@ -10,6 +10,7 @@ import re
 import pytest
 
 import chowkit
+from chowkit.abgroup import IntMatrix
 from chowkit.chow import chow_group, pic_cardinality, principal_divisor_test
 from chowkit.cli import _add_field_flags, main
 from chowkit.declared import declared_order, load_declared
@@ -191,7 +192,7 @@ _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_cho
                   "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
                   "invertible_place_class", "residue_units_trivial", "ord_at",
                   "unit_group_order", "_form_pow", "local_chow", "fabric",
-                  "bezout_vectors")
+                  "bezout_vectors", "residue_unit_cardinality")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
@@ -219,6 +220,8 @@ def _owner(kind):
         return prop_fix_report(order_from_conductor(make_field(-7), 2))
     if kind == "Divisor":
         return Divisor(LEVEL_ORDER, {"2": 1})
+    if kind == "IntMatrix":
+        return IntMatrix
     return importlib.import_module("chowkit.cli")
 
 
@@ -247,6 +250,7 @@ def _owner(kind):
     ("FixReport", "residue_units_trivial"),
     ("Divisor", "__neg__"),
     ("Divisor", "__sub__"),
+    ("IntMatrix", "identity"),
 ])
 def test_removed_attributes_stay_removed(kind, name):
     assert not hasattr(_owner(kind), name)

@@ -526,7 +526,7 @@ def test_nonsplit_flag_against_direct_sum():
 
 def test_declared_120_primes_det_oracle():
     """A seeded declared order with 120 conductor primes: |Chow| equals |det|
-    of the square G/R matrix (Bareiss), and basis_change is onto."""
+    of the square G/R matrix (Bareiss), and ``member`` is onto."""
     rng = random.Random(120)
     chain = [2, 6, 12]
     records = []
@@ -554,7 +554,6 @@ def test_declared_120_primes_det_oracle():
     assert moduli == (2, 6, 12)
     assert pres.result.cardinality() == abs(square.det()) > 1
     G = pres.result
-    n = G.user_rank
-    assert n == r + len(moduli)
-    images = [G.member([1 if t == i else 0 for t in range(n)]) for i in range(n)]
+    n = r + len(moduli)
+    images = [pres.member([1 if t == i else 0 for t in range(n)]) for i in range(n)]
     assert subgroup_quotient(G, images).is_trivial()

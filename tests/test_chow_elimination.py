@@ -2,8 +2,11 @@
 for the rest and sends one prime per distinct (g_i, qbar_i != 0) to the
 Smith normal form, against the full (r + k)-column G/R presentation
 (``util.chow_by_full_presentation``), and against the same order on the
-other backend."""
+other backend.  ``PROJECTION_DIGEST`` pins the invariant factors and the
+coordinates of ``project`` on a seeded corpus."""
 
+import hashlib
+import json
 import random
 from math import gcd
 
@@ -18,8 +21,9 @@ from chowkit.declared import (
     parse_declared,
     serialize_declared,
 )
+from chowkit.ntheory import primes_below
 from chowkit.orders import LEVEL_ORDER, Divisor, NonInvertiblePrime, order_from_conductor
-from chowkit.quadfield import make_field
+from chowkit.quadfield import make_field, splitting
 from util import (
     check_class_step,
     chow_by_full_presentation,
@@ -38,12 +42,14 @@ QUADRATIC = ((-23, 10), (-23, 30), (-20, 6), (-7, 14), (-4, 3), (-84, 6),
 
 
 def _check_onto(pres):
-    """user_rank is r + k and basis_change is onto: the images of the
+    """``member`` takes exactly r + k entries and is onto: the images of the
     r + k generators generate the group."""
     G = pres.result
-    n = G.user_rank
-    assert n == len(pres.order.primes) + pres.cl_mod_n.rank
-    images = [G.member([1 if t == i else 0 for t in range(n)]) for i in range(n)]
+    n = len(pres.order.primes) + pres.cl_mod_n.rank
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            pres.member([0] * wrong)
+    images = [pres.member([1 if t == i else 0 for t in range(n)]) for i in range(n)]
     assert subgroup_quotient(G, images).is_trivial()
 
 
@@ -53,18 +59,18 @@ def _check_against_reference(pres, rng, samples=30):
     ref = chow_by_full_presentation(pres.order)
     G = pres.result
     assert G.invariant_factors == ref.invariant_factors
-    n = G.user_rank
+    n = ref.user_rank
     for _ in range(samples):
         v = [rng.randint(-6, 6) for _ in range(n)]
-        assert element_order(G, G.member(v)) == element_order(ref, ref.member(v))
+        assert element_order(G, pres.member(v)) == element_order(ref, ref.member(v))
     # the relation rows and the moduli of Cl/N map to 0
     r = len(pres.order.primes)
     for row in pres.relations.tolists():
-        assert G.member(row).is_identity()
+        assert pres.member(row).is_identity()
     for j, d in enumerate(pres.cl_mod_n.invariant_factors):
         row = [0] * n
         row[r + j] = d
-        assert G.member(row).is_identity()
+        assert pres.member(row).is_identity()
 
 
 def _declared_cases():
@@ -169,12 +175,11 @@ def test_projection_is_additive_and_kills_relations():
             assert pres.project(D1 + D2) == pres.project(D1) + pres.project(D2)
         # g_i p_i is the class of [Q_i]: a multiple of g_i at one prime
         # projects to the image of its Cl/N part
-        G = pres.result
         for i, prime in enumerate(order.primes):
             D = Divisor(LEVEL_ORDER, {prime.label: prime.g})
             qbar = pres.cl_mod_n.member(pres.q_classes[i].coords).coords
             vec = [0] * len(labels) + list(qbar)
-            assert pres.project(D) == G.member(vec)
+            assert pres.project(D) == pres.member(vec)
 
 
 @pytest.mark.parametrize("d, f", QUADRATIC[:6])
@@ -283,3 +288,45 @@ def test_class_step_matches_solve_combination_uniform():
                     seen[key] = seen.get(key, 0) + 1
     for kind in ("N = 0", "0 < N < Cl"):
         assert min(seen.get((kind, v), 0) for v in (None, True, False)) >= 10, seen
+
+
+def projection_outputs():
+    """What ``chow_group`` gives a reader, on a seeded corpus: the invariant
+    factors and the coordinates of ``project`` of seeded divisors.  Declared
+    files of 5 to 400 primes, with per-place and with uniform class images;
+    quadratic orders of both signs, whose divisors name invertible places
+    as well as the order's primes."""
+    rng = random.Random(20261020)
+    out = []
+
+    def record(order, labels, n_divisors=12):
+        pres = chow_group(order)
+        out.append(list(pres.result.invariant_factors))
+        for _ in range(n_divisors):
+            support = {l: rng.randint(-7, 7)
+                       for l in rng.sample(labels, min(len(labels), rng.randint(1, 6)))}
+            out.append(list(pres.project(Divisor(LEVEL_ORDER, support)).coords))
+
+    for n_primes in (5, 20, 60, 150, 400):
+        for uniform in (False, True):
+            decl = random_declared_field(rng, n_primes, (2, 6, 12), uniform=uniform)
+            record(declared_order(decl, decl.prime_labels), list(decl.prime_labels))
+    for d, f in QUADRATIC + ((-23, 2), (-199, 6), (-1003, 35), (229, 15), (1365, 4)):
+        F = make_field(d)
+        order = order_from_conductor(F, f)
+        labels = [p.label for p in order.primes]
+        labels += [pl.label for p in primes_below(40) if f % p
+                   for pl in splitting(F, p)]
+        record(order, labels)
+    return out
+
+
+# sha256 of the JSON of projection_outputs(), as computed when ``chow_group``
+# built a dense coordinate matrix over all r + k generators; the group and
+# the coordinates of ``project`` must not change
+PROJECTION_DIGEST = "940b38a181cf3005ef1d4d02f1f7c932f03cb319430ca267c12d6b3723840d3e"
+
+
+def test_projection_outputs_match_pinned_digest():
+    data = json.dumps(projection_outputs()).encode()
+    assert hashlib.sha256(data).hexdigest() == PROJECTION_DIGEST

@@ -16,11 +16,14 @@ not tested for primality again.
 The principal lift and the kernel witness: each label is resolved once by
 ``order.resolve``, no label over the conductor is parsed, and no divisor
 over the normalization is built.  A quadratic order splits each p once, its
-conductor primes never.
+conductor primes never, and a warm ``order-info`` splits each conductor
+prime once, when it builds the order.
 
 The Chow layer: the G/R quotient gets one column per distinct pair
 (g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
-unbuilt until read, no generator lifts are built, ``find-trivial`` builds
+unbuilt until read, no generator lifts and no coordinate matrix with a row
+per prime are built (``tracemalloc`` peaks at 2400 and 19200 primes),
+``pres.member`` takes exactly r + k entries, ``find-trivial`` builds
 the Chow group it found once, and its search maps each candidate by one
 ``member``, with no SNF solver, and maps nothing for an even |Cl|.  An
 order's Cl/N is built once for the Chow group, the exact sequence, the
@@ -77,6 +80,14 @@ def _big_field(uniform):
                                  uniform=uniform)
 
 
+def _check_member_takes(pres, n):
+    """``pres.member`` takes exactly n entries, one per generator of G."""
+    assert pres.member([0] * n).is_identity()
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            pres.member([0] * wrong)
+
+
 @pytest.mark.parametrize("uniform", (True, False))
 def test_chow_quotient_sees_only_primes_with_g_above_1(monkeypatch, uniform):
     decl = _big_field(uniform)
@@ -96,7 +107,7 @@ def test_chow_quotient_sees_only_primes_with_g_above_1(monkeypatch, uniform):
             if p.g > 1 and any(qbar)}
     assert widths == [len(sent) + pres.cl_mod_n.rank]
     assert 0 < wide < N_PRIMES
-    assert pres.result.user_rank == N_PRIMES + pres.cl_mod_n.rank
+    _check_member_takes(pres, N_PRIMES + pres.cl_mod_n.rank)
 
 
 def test_chow_quotient_of_2400_primes_is_no_wider_than_cl_mod_n(monkeypatch):
@@ -119,7 +130,7 @@ def test_chow_quotient_of_2400_primes_is_no_wider_than_cl_mod_n(monkeypatch):
     assert k == 0 and not order.class_group().is_trivial()
     assert all(n <= k for n in widths)
     assert sum(1 for p in order.primes if p.g > 1) > 1000
-    assert pres.result.user_rank == 2400
+    _check_member_takes(pres, 2400)
 
 
 def test_declared_fabric_calls_no_member(monkeypatch):
@@ -630,6 +641,27 @@ def test_conductor_test_splits_each_prime_once(monkeypatch):
     assert sorted(calls) == [2, 3, 5, 23]
 
 
+def test_order_info_splits_each_conductor_prime_once(monkeypatch):
+    """A warm ``order-info`` reads the residue unit count off the order's own
+    places: one ``_splitting`` call per conductor prime, when the order is
+    built, where the count split each p again on each of its two reads."""
+    argv = ["order-info", "--disc", "-23", "--conductor", "30"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    calls = []
+    original = quadfield._splitting
+
+    def counting(field, p):
+        calls.append(p)
+        return original(field, p)
+
+    for module in (quadfield, orders, chow):
+        monkeypatch.setattr(module, "_splitting", counting)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert sorted(calls) == [2, 3, 5]
+
+
 def test_principal_lift_resolves_each_invertible_label_once(monkeypatch):
     """Over Z + 30*O~ in Q(sqrt(-23)) (2 and 3 split, 5 inert):
     ``principal_divisor_test`` resolves each label of D once through
@@ -764,13 +796,10 @@ def test_class_group_build_memory(monkeypatch):
     assert peak < 320 * 1024
 
 
-def test_chow_group_build_memory():
-    """2400 primes, 809 invariant factors: ``chow_group`` builds
-    ``basis_change`` and no generator lifts, so its tracemalloc peak stays
-    below 32 MiB (20.6 MiB on CPython 3.11, its [Q_i] built inside the
-    call and Cl/N before it), where a dense 809 x 2400 matrix of lifts took
-    it to 50.1 MiB, measured the same way."""
-    decl = random_declared_field(random.Random(2400), 2400, (2, 6, 12))
+def _chow_group_peak(n_primes):
+    """``chow_group`` on the seeded n-prime file with every record
+    selected, Cl/N built before the call: (result, tracemalloc peak)."""
+    decl = random_declared_field(random.Random(n_primes), n_primes, (2, 6, 12))
     order = declared_order(decl, decl.prime_labels)
     order.cl_mod_n
     gc.collect()
@@ -780,8 +809,28 @@ def test_chow_group_build_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return pres, peak
+
+
+def test_chow_group_build_memory():
+    """2400 primes, 809 invariant factors: ``chow_group`` keeps each
+    prime's route into its split and builds no coordinate matrix and no
+    generator lifts, so its tracemalloc peak stays below 4 MiB (0.8 MiB on
+    CPython 3.11), where a dense 2400 x 809 ``basis_change`` took it to
+    20.6 MiB and a dense 809 x 2400 matrix of lifts beside it to 50.1 MiB,
+    measured the same way."""
+    pres, peak = _chow_group_peak(2400)
     assert pres.result.rank == 809
     assert pres.result.generator_lifts is None
+    assert peak < 4 * 2**20
+
+
+def test_chow_group_of_19200_primes_memory():
+    """19200 primes, rank 6448: the tracemalloc peak stays below 32 MiB
+    (6.6 MiB on CPython 3.11), where the dense 19200 x 6448
+    ``basis_change`` took it to 1258.5 MiB, measured the same way."""
+    pres, peak = _chow_group_peak(19200)
+    assert pres.result.rank == 6448
     assert peak < 32 * 2**20
 
 

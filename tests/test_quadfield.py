@@ -7,8 +7,8 @@ from math import isqrt
 import pytest
 
 from chowkit.errors import FieldInputError, SearchBoundExceeded
-from chowkit.ntheory import factorize, primes_below
-from chowkit.orders import resolve_place
+from chowkit.ntheory import primes_below
+from chowkit.orders import order_from_conductor, resolve_place
 from chowkit.quadfield import (
     QElement,
     QIdeal,
@@ -20,7 +20,6 @@ from chowkit.quadfield import (
     make_field,
     principal_ideal,
     reduced_form_count,
-    residue_unit_cardinality,
     splitting,
     torsion_units,
 )
@@ -528,7 +527,7 @@ def test_residue_unit_cardinality_formula():
     for d in (-7, -4, -3, -20, 8, 5):
         F = make_field(d)
         for f in (2, 3, 4, 5, 6):
-            assert residue_unit_cardinality(F, factorize(f)) == brute(F, f), (d, f)
+            assert order_from_conductor(F, f).residue_unit_order() == brute(F, f), (d, f)
 
 
 @pytest.mark.parametrize("d, reps", [
