@@ -51,8 +51,8 @@ class IntMatrix:
     """Immutable arbitrary-precision integer matrix, row-major.
 
     The rows are copied as tuples of the ints given, not converted entry by
-    entry: a G/R presentation of a few thousand primes has about a million
-    entries."""
+    entry: ``ChowPresentation.relations`` of a few thousand primes, built
+    when read, has millions of entries."""
 
     __slots__ = ("rows", "cols", "_data")
 

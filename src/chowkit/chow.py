@@ -14,23 +14,23 @@ and Chow(O) = G/R, each class ``order.class_of`` of an exponent vector,
 Hermite basis of N (Cohen, GTM 138, Sec. 2.4.2): the kernel classes, one
 per place, are built and reduced into at most rank(Cl) rows as the
 reduction reads them, and it stops once N = Cl, so the Smith normal form of
-Cl/N never sees one row per place.  [Q_i] takes
-few distinct values, and each is mapped to Cl/N once.  G/R is split along the
-exact sequence Cl/N -> Chow(O) -> sum Z/g_i: a prime with g_i = 1 has the
-relation p_i = [Q_i] and is eliminated, one with [Q_i] = 0 in Cl/N splits
-off Z/g_i, and primes with equal (g_i, [Q_i]) split off Z/g_i after the
-first, so the Smith normal form sees only one prime per distinct pair with
-[Q_i] != 0 and the generators of Cl/N.  The parts are merged into invariant
-factors over a coprime base of their orders, and each prime keeps its route
-into them, which ``ChowPresentation.member`` follows: no map with a row per
-prime is built, and the unreduced R is built only when read.  The same data
-yields the exact-sequence decomposition (image of the push-forward, local
-parts Z/g_i) and drives the principal divisor test: membership in the
-push-forward image, an ideal lift, a class check that is one membership
-test in the order's Cl/N (``cl_mod_n``, built once per order and shared
-with the Chow group), and finally a principal-ideal generator of the corrected lift, multiplied out from the
-order's own places; only then are all kernel classes built, for
-``solve_combination`` to pick the kernel correction.
+Cl/N never sees one row per place.  [Q_i] enters G/R only as its image
+qbar_i in Cl/N, of few distinct values, each mapped once and kept.  G/R is
+split along the exact sequence Cl/N -> Chow(O) -> sum Z/g_i: a prime with
+g_i = 1 has the relation p_i = qbar_i and is eliminated, one with qbar_i = 0
+splits off Z/g_i, and primes with equal (g_i, qbar_i) split off Z/g_i after
+the first, so the Smith normal form sees only one prime per distinct pair
+with qbar_i != 0 and the generators of Cl/N.  The parts are merged into
+invariant factors over a coprime base of their orders, and each prime keeps
+its route into them, which ``ChowPresentation.member`` follows: no map with
+a row per prime is built, and the unreduced R is built only when read.  The
+same data yields the exact-sequence decomposition (image of the push-forward,
+local parts Z/g_i) and drives the principal divisor test: membership in the
+push-forward image, an ideal lift, a class check that is one membership test
+in the order's Cl/N (``cl_mod_n``, built once per order and shared with the
+Chow group), and finally a principal-ideal generator of the corrected lift,
+multiplied out from the order's own places; only then are all kernel classes
+built, for ``solve_combination`` to pick the kernel correction.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
 an odd |Cl| admits one, and then the primes below the class group's own
 prime bound suffice.
@@ -88,11 +88,14 @@ class ChowPresentation:
     the unreduced G/R matrix's Smith normal form: the group, ``project`` up
     to that isomorphism, and every CLI output are the same.  ``cl_mod_n``
     is the order's own ``cl_mod_n``, the one Cl/N that the principal test
-    reads too.  ``relations``, the unreduced R, is built only when read.
+    reads too, and ``qbars`` holds per prime the reduced coordinates in it
+    of qbar_i, the image of [Q_i], one tuple per distinct value (the class
+    [Q_i] itself is ``order.class_of(prime.places, prime.lambdas)``).
+    ``relations``, the unreduced R, is built only when read.
     """
 
     order: OrderData
-    q_classes: tuple                 # classes [Q_i], one per prime
+    qbars: tuple                     # per prime: qbar_i, [Q_i] in Cl/N's coordinates
     cl_mod_n: AbelianGroup
     result: AbelianGroup
     rest: AbelianGroup               # on the t primes sent to it, then Cl/N's k
@@ -101,11 +104,11 @@ class ChowPresentation:
 
     @cached_property
     def relations(self) -> IntMatrix:
-        """The r rows (g_i p_i, -[Q_i]) of R over the r + k generators."""
+        """The r rows (g_i p_i, -qbar_i) of R over the r + k generators."""
         r = len(self.order.primes)
         rows = []
-        for i, (prime, q) in enumerate(zip(self.order.primes, self.q_classes)):
-            row = [0] * r + [-c for c in self.cl_mod_n.member(q.coords).coords]
+        for i, (prime, qbar) in enumerate(zip(self.order.primes, self.qbars)):
+            row = [0] * r + [-c for c in qbar]
             row[i] = prime.g
             rows.append(row)
         return IntMatrix(rows, cols=r + self.cl_mod_n.rank)
@@ -180,16 +183,14 @@ def chow_group(order: OrderData) -> ChowPresentation:
     g_i = 1) and the summand it splits off, if any.  No map with a row per
     prime is built.
     """
-    q_classes = tuple(order.class_of(prime.places, prime.lambdas)
-                      for prime in order.primes)
     cl_mod_n = order.cl_mod_n
     k = cl_mod_n.rank
-    # [Q_i] takes few distinct values: map each one to Cl/N once, unless
-    # Cl/N is trivial and every image is ()
-    distinct = dict.fromkeys(q.coords for q in q_classes)
-    image = ({c: cl_mod_n.member(c).coords for c in distinct} if k
-             else dict.fromkeys(distinct, ()))
-    qbars = [image[q.coords] for q in q_classes]
+    image, qbars = {}, []   # [Q_i] takes few values: map each once, none if Cl/N = 0
+    for prime in order.primes:
+        c = order.class_of(prime.places, prime.lambdas).coords
+        if c not in image:
+            image[c] = cl_mod_n.member(c).coords if k else ()
+        qbars.append(image[c])
     reps = {}    # (g, qbar) with qbar != 0 -> its first prime
     split = []   # (i, rep): Z/g_i on p_i (rep None) or on p_i - p_rep
     for i, prime in enumerate(order.primes):
@@ -221,7 +222,7 @@ def chow_group(order: OrderData) -> ChowPresentation:
         routes[i] = (((pos, 1),), None)
     for l, (i, rep) in enumerate(split, rest.rank):
         routes[i] = (routes[rep][0] if rep is not None else (), l)
-    return ChowPresentation(order, q_classes, cl_mod_n, AbelianGroup(factors),
+    return ChowPresentation(order, tuple(qbars), cl_mod_n, AbelianGroup(factors),
                             rest, routes, slots)
 
 

@@ -394,32 +394,35 @@ def _violator(places, k):
     return None
 
 
-def conductor_test(field: QuadField, exponents):
-    """Furtwaengler's criterion for a product of place powers.
-
-    ``exponents`` maps place labels to integers k >= 0.  Returns
-    (is_conductor, violating_label_or_None); the criterion is checked per
-    rational prime and combined multiplicatively.  One maximal order
-    resolves every label and keeps the places over each p, so each p is
-    split once.
-    """
+def _furtwaengler(field: QuadField, exponents):
+    """(first violating label or None, {p: (places over p, exponents)}) of
+    a place-exponent map.  One maximal order resolves every label and keeps
+    the places over each p, so each p is split once."""
     maximal = QuadraticOrder(field, 1, ())
-    by_p = {}
+    given = {}   # p -> {place label: k}
     for label, k in exponents.items():
         k = int(k)
         if k < 0:
             raise ValueError("exponents must be >= 0")
         place = maximal.resolve(label)[0]
-        kmap = by_p.setdefault(place.p, {})
+        kmap = given.setdefault(place.p, {})
         if place.label in kmap:
             raise PlaceResolutionError(f"place {place.label} given twice")
         kmap[place.label] = k
-    for p in sorted(by_p):
-        places = maximal._places[p]
-        viol = _violator(places, [by_p[p].get(pl.label, 0) for pl in places])
-        if viol is not None:
-            return False, viol
-    return True, None
+    by_p = {p: (maximal._places[p], [given[p].get(pl.label, 0) for pl in maximal._places[p]])
+            for p in sorted(given)}
+    return next(filter(None, (_violator(*pair) for pair in by_p.values())), None), by_p
+
+
+def conductor_test(field: QuadField, exponents):
+    """Furtwaengler's criterion for a product of place powers.
+
+    ``exponents`` maps place labels to integers k >= 0.  Returns
+    (is_conductor, violating_label_or_None); the criterion is checked per
+    rational prime and combined multiplicatively.
+    """
+    viol = _furtwaengler(field, exponents)[0]
+    return viol is None, viol
 
 
 def order_conductor_test(order: OrderData):
@@ -449,15 +452,11 @@ def order_from_ideal(field: QuadField, exponents) -> QuadraticOrder:
     no degree-1 place (its one place has e = 1).  So each exponent is
     v_p(f) * e.
     """
-    ok, viol = conductor_test(field, exponents)
-    if not ok:
-        raise NotConductorIdealError(
-            f"not a conductor ideal (violating place {viol})")
-    v = {}
-    for label, k in exponents.items():
-        place = resolve_place(field, label)
-        v[place.p] = int(k) // place.e
-    return order_from_conductor(field, prod(p ** vp for p, vp in v.items()))
+    viol, by_p = _furtwaengler(field, exponents)
+    if viol is not None:
+        raise NotConductorIdealError(f"not a conductor ideal (violating place {viol})")
+    return order_from_conductor(
+        field, prod(p ** (ks[0] // places[0].e) for p, (places, ks) in by_p.items()))
 
 
 @dataclass

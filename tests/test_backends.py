@@ -230,6 +230,7 @@ def _owner(kind):
     ("ChowPresentation", "n_generators"),
     ("ChowPresentation", "invariant_factors"),
     ("ChowPresentation", "cardinality"),
+    ("ChowPresentation", "q_classes"),
     ("ClassGroupData", "_wide"),
     ("ClassGroupData", "representatives"),
     ("ClassGroupData", "_narrow"),

@@ -30,6 +30,7 @@ from util import (
     fabric_by_group_arithmetic,
     fabric_of,
     fundamental_discriminants,
+    qbars_by_group_arithmetic,
     random_declared_field,
     transcribe_to_declared,
 )
@@ -120,8 +121,7 @@ def test_declared_cases_reach_every_split_path():
     for decl in _declared_cases():
         order = declared_order(decl, decl.prime_labels)
         pres = chow_group(order)
-        pairs = [(p.g, pres.cl_mod_n.member(q.coords).coords)
-                 for p, q in zip(order.primes, pres.q_classes) if p.g > 1]
+        pairs = [(p.g, qbar) for p, qbar in zip(order.primes, pres.qbars) if p.g > 1]
         gs.update(g for g, _ in pairs)
         sent = [(g, qbar) for g, qbar in pairs if any(qbar)]
         repeated |= len(set(sent)) < len(sent)
@@ -177,8 +177,7 @@ def test_projection_is_additive_and_kills_relations():
         # projects to the image of its Cl/N part
         for i, prime in enumerate(order.primes):
             D = Divisor(LEVEL_ORDER, {prime.label: prime.g})
-            qbar = pres.cl_mod_n.member(pres.q_classes[i].coords).coords
-            vec = [0] * len(labels) + list(qbar)
+            vec = [0] * len(labels) + list(pres.qbars[i])
             assert pres.project(D) == pres.member(vec)
 
 
@@ -186,20 +185,20 @@ def test_projection_is_additive_and_kills_relations():
 def test_fabric_matches_group_arithmetic_quadratic(d, f):
     order = order_from_conductor(make_field(d), f)
     assert fabric_of(order) == fabric_by_group_arithmetic(order)
-    assert chow_group(order).q_classes == fabric_of(order)[1]
+    assert chow_group(order).qbars == qbars_by_group_arithmetic(order)
 
 
 def test_fabric_matches_group_arithmetic_declared():
     """On the declared cases and on the 150-prime files of the cost guards,
     per-place and uniform: [Q_i] and the kernel classes, through
-    ``order.class_of``, and the [Q_i] of ``chow_group`` equal the
+    ``order.class_of``, and the images qbar_i of ``chow_group`` equal the
     group-arithmetic reference."""
     big = [random_declared_field(random.Random(150), 150, (2, 6, 12), uniform=uniform)
            for uniform in (False, True)]
     for decl in _declared_cases() + big:
         order = declared_order(decl, decl.prime_labels)
         assert fabric_of(order) == fabric_by_group_arithmetic(order)
-        assert chow_group(order).q_classes == fabric_of(order)[1]
+        assert chow_group(order).qbars == qbars_by_group_arithmetic(order)
 
 
 def test_exact_sequence_unchanged_by_elimination():

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from chowkit.cli import build_parser, main
-from chowkit.quadfield import MAX_CLASS_DISC
+from chowkit.errors import PlaceResolutionError
+from chowkit.orders import Divisor, order_from_conductor, pushforward
+from chowkit.quadfield import MAX_CLASS_DISC, make_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +171,36 @@ def test_usage_errors(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --prime-budget must be >= 0\n"
+
+
+PRINCIPAL_M7_F3 = ["principal", "--disc", "-7", "--conductor", "3", "--divisor"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chow", "--disc", "-7", "--conductor", "0"], "--conductor must be >= 1"),
+    (["chow", "--data", "data/biquad.decl", "--conductor", "2"],
+     "--conductor requires --disc"),
+    (["find-trivial"], "find-trivial needs --disc"),
+    (["conductor-test"], "conductor-test needs --disc"),
+    (["conductor-test", "--disc", "-7", "--ideal", "2.0:-1"],
+     "ideal exponents must be >= 0"),
+    (["conductor-test", "--disc", "-7", "--ideal", "3:1,3.0:1"], "place 3 given twice"),
+    (PRINCIPAL_M7_F3 + ["2:x"], "bad coefficient in '2:x'"),
+    (PRINCIPAL_M7_F3 + ["2:1,,3:1"], "empty entry in literal '2:1,,3:1'"),
+    (PRINCIPAL_M7_F3 + ["2:1"], "2 is split; specify a branch 2.0 or 2.1"),
+    (PRINCIPAL_M7_F3 + ["2.7:1"], "no place 2.7 over 2"),
+])
+def test_refusals_print_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_pushforward_refuses_a_prime_label():
+    order = order_from_conductor(make_field(-7), 2)
+    with pytest.raises(PlaceResolutionError, match="^'2' names a prime, not a place$"):
+        pushforward(order, Divisor("normalization", {"2": 1}))
 
 
 def test_shared_parser_keeps_outputs(capsys):

@@ -16,13 +16,15 @@ not tested for primality again.
 The principal lift and the kernel witness: each label is resolved once by
 ``order.resolve``, no label over the conductor is parsed, and no divisor
 over the normalization is built.  A quadratic order splits each p once, its
-conductor primes never, and a warm ``order-info`` splits each conductor
-prime once, when it builds the order.
+conductor primes never, a warm ``order-info`` splits each conductor prime
+once, when it builds the order, and ``order_from_ideal`` each p at most
+twice, in its Furtwaengler check and in the order it builds.
 
 The Chow layer: the G/R quotient gets one column per distinct pair
 (g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
 unbuilt until read, no generator lifts and no coordinate matrix with a row
-per prime are built (``tracemalloc`` peaks at 2400 and 19200 primes),
+per prime are built (``tracemalloc`` peaks at 2400 and 19200 primes), the
+result keeps each qbar_i once per distinct value (what it holds at 19200),
 ``pres.member`` takes exactly r + k entries, ``find-trivial`` builds
 the Chow group it found once, and its search maps each candidate by one
 ``member``, with no SNF solver, and maps nothing for an even |Cl|.  An
@@ -35,6 +37,7 @@ its class keys are the forms it composes, and keeps one form per class.
 ``order-info`` builds no group per conductor prime.
 """
 
+import functools
 import gc
 import io
 import json
@@ -102,8 +105,7 @@ def test_chow_quotient_sees_only_primes_with_g_above_1(monkeypatch, uniform):
     monkeypatch.setattr(chow, "quotient", counting)
     pres = chow.chow_group(order)
     wide = sum(1 for p in order.primes if p.g > 1)
-    qbars = [pres.cl_mod_n.member(q.coords).coords for q in pres.q_classes]
-    sent = {(p.g, qbar) for p, qbar in zip(order.primes, qbars)
+    sent = {(p.g, qbar) for p, qbar in zip(order.primes, pres.qbars)
             if p.g > 1 and any(qbar)}
     assert widths == [len(sent) + pres.cl_mod_n.rank]
     assert 0 < wide < N_PRIMES
@@ -298,7 +300,7 @@ def test_chow_group_leaves_relations_unbuilt():
     assert "relations" not in vars(pres)
     r = len(order.primes)
     expected = []
-    for i, (prime, q) in enumerate(zip(order.primes, pres.q_classes)):
+    for i, (prime, q) in enumerate(zip(order.primes, fabric_of(order)[1])):
         row = [0] * r + [-c for c in pres.cl_mod_n.member(q.coords).coords]
         row[i] = prime.g
         expected.append(row)
@@ -641,6 +643,24 @@ def test_conductor_test_splits_each_prime_once(monkeypatch):
     assert sorted(calls) == [2, 3, 5, 23]
 
 
+def test_order_from_ideal_splits_each_prime_at_most_twice(monkeypatch):
+    """``order_from_ideal`` resolves its labels through the maximal order of
+    the Furtwaengler check, then builds the order: each p is split at most
+    twice, where resolving each label again split it once more per label."""
+    F = make_field(-7)
+    calls = []
+    original = orders._splitting
+
+    def counting(field, p):
+        calls.append(p)
+        return original(field, p)
+
+    monkeypatch.setattr(orders, "_splitting", counting)
+    order = orders.order_from_ideal(F, {"2.0": 1, "2.1": 1, "3": 2, "5": 1})
+    assert order.conductor == 90   # 3 is inert, so its exponent is v_3(f)
+    assert sorted(calls) == [2, 2, 3, 3, 5, 5]
+
+
 def test_order_info_splits_each_conductor_prime_once(monkeypatch):
     """A warm ``order-info`` reads the residue unit count off the order's own
     places: one ``_splitting`` call per conductor prime, when the order is
@@ -796,9 +816,12 @@ def test_class_group_build_memory(monkeypatch):
     assert peak < 320 * 1024
 
 
-def _chow_group_peak(n_primes):
+@functools.lru_cache(maxsize=1)
+def _chow_group_memory(n_primes):
     """``chow_group`` on the seeded n-prime file with every record
-    selected, Cl/N built before the call: (result, tracemalloc peak)."""
+    selected, Cl/N built before the call: (result, tracemalloc current
+    with the result alive, tracemalloc peak).  The last file's reading is
+    kept, so the guards at 19200 primes build it once."""
     decl = random_declared_field(random.Random(n_primes), n_primes, (2, 6, 12))
     order = declared_order(decl, decl.prime_labels)
     order.cl_mod_n
@@ -806,9 +829,15 @@ def _chow_group_peak(n_primes):
     tracemalloc.start()
     try:
         pres = chow.chow_group(order)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return pres, held, peak
+
+
+def _chow_group_peak(n_primes):
+    """(result, tracemalloc peak) of ``_chow_group_memory``."""
+    pres, _, peak = _chow_group_memory(n_primes)
     return pres, peak
 
 
@@ -832,6 +861,19 @@ def test_chow_group_of_19200_primes_memory():
     pres, peak = _chow_group_peak(19200)
     assert pres.result.rank == 6448
     assert peak < 32 * 2**20
+
+
+def test_chow_group_of_19200_primes_holds_one_qbar_per_value():
+    """19200 primes: the memory ``chow_group`` still holds after it returns,
+    with the result alive, stays below 4 MiB (3.2 MiB on CPython 3.11).
+    The result keeps qbar_i, one tuple per distinct value, where a checked
+    [Q_i] element per prime held 5.1 MiB, measured the same way."""
+    try:
+        pres, held, _ = _chow_group_memory(19200)
+    finally:
+        _chow_group_memory.cache_clear()
+    assert len(set(map(id, pres.qbars))) == len(set(pres.qbars)) < 19200
+    assert held < 4 * 2**20
 
 
 def test_order_info_builds_no_group_per_prime(monkeypatch, tmp_path):

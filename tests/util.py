@@ -389,8 +389,9 @@ def subgroup_quotient_by_raw_rows(G, subgen):
 
 def fabric_by_group_arithmetic(order):
     """(Cl, [Q_i], N generators) by group-element arithmetic: the reference
-    for ``order.class_group()``, ``chow_group(order).q_classes`` and the
-    classes ``order.class_of`` gives the vectors of ``kernel_vectors``.  A
+    for ``order.class_group()``, the classes ``order.class_of`` gives
+    ``prime.lambdas`` and the vectors of ``kernel_vectors``, and through
+    ``qbars_by_group_arithmetic`` for ``chow_group(order).qbars``.  A
     declared class image is read as a vector in the class group's
     presentation coordinates (``member``), a quadratic place's class is its
     ``dlog``."""
@@ -409,6 +410,14 @@ def fabric_by_group_arithmetic(order):
         n_gens += [(pl.degree // prime.g) * q - c
                    for pl, c in zip(prime.places, classes)]
     return cl, tuple(q_classes), tuple(n_gens)
+
+
+def qbars_by_group_arithmetic(order):
+    """qbar_i per prime: the [Q_i] of ``fabric_by_group_arithmetic`` mapped
+    into the order's Cl/N, in its reduced coordinates.  The reference for
+    ``chow_group(order).qbars``."""
+    _, q_classes, _ = fabric_by_group_arithmetic(order)
+    return tuple(order.cl_mod_n.member(q.coords).coords for q in q_classes)
 
 
 def fabric_of(order):
