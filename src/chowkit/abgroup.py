@@ -15,7 +15,9 @@ operations instead of building U and V; each caller replays only what it
 reads:
   * ``quotient``: the kept columns of V (``basis_change``) and the kept
     rows of V^-1 (``generator_lifts``), never U;
-  * ``solve_combination``: U times the target and V times one vector;
+  * ``combination_solver``: U times each target and V times one vector
+    per target, the log made once for all targets (``solve_combination``
+    is that solver applied once);
   * ``smith_normal_form``: U and V in full, never V^-1.
 ``cyclic_sum`` needs no SNF: a direct sum of cyclic groups is put in
 invariant-factor form over a coprime base of its moduli, built from gcds
@@ -351,12 +353,15 @@ class AbelianGroup:
         return _canonical(coords, self.invariant_factors)
 
     def member(self, vector):
-        """Canonical element from a vector in presentation-generator coordinates."""
+        """Canonical element from a vector in presentation-generator
+        coordinates; in a trivial group, the identity with no product."""
         vector = tuple(map(int, vector))
         if len(vector) != self.user_rank:
             raise ValueError(
                 f"vector length {len(vector)} does not match generator count {self.user_rank}"
             )
+        if not self.invariant_factors:
+            return self.identity()
         if self.basis_change is not None:
             vector = self.basis_change.mul_vec(vector)
         return GroupElement(self, vector)
@@ -570,13 +575,15 @@ def bezout_gcd(values):
     return g, lambdas
 
 
-def solve_combination(G, elements, target):
-    """Integer coefficients x with sum(x_i * elements_i) == target in G.
+def combination_solver(G, elements):
+    """``solve_combination`` for fixed elements, prepared for many targets.
 
-    Returns a list of ints, or None when target is outside the subgroup
-    generated by the elements.
+    The Smith normal form of the k x (m + k') matrix of the elements and
+    G's finite moduli is made once, here; the returned function maps a
+    target to its coefficients (or None) by one U*t and one V*s (Cohen,
+    GTM 138, Sec. 2.4.3).
     """
-    if target.group is not G or any(e.group is not G for e in elements):
+    if any(e.group is not G for e in elements):
         raise ValueError("elements of a different group")
     k = G.rank
     m = len(elements)
@@ -588,22 +595,38 @@ def solve_combination(G, elements, target):
             col[j] = d
             cols.append(col)
     width = len(cols)
-    if k == 0:
-        return [0] * m
-    rows = [[c[r] for c in cols] for r in range(k)]
-    diag, row_ops, col_ops = _snf_inplace(rows, k, width)
-    # U*target and V*s as one-column matrices
-    w = [x for (x,) in _apply_row_ops(row_ops, [[c] for c in target.coords])]
-    s = [[0] for _ in range(width)]
-    for i in range(k):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if w[i] % d:
+    if k:
+        rows = [[c[r] for c in cols] for r in range(k)]
+        diag, row_ops, col_ops = _snf_inplace(rows, k, width)
+        diag += [0] * (k - len(diag))
+
+    def solve(target):
+        if target.group is not G:
+            raise ValueError("elements of a different group")
+        if k == 0:
+            return [0] * m
+        # U*target and V*s as one-column matrices
+        w = [x for (x,) in _apply_row_ops(row_ops, [[c] for c in target.coords])]
+        s = [[0] for _ in range(width)]
+        for i, d in enumerate(diag):
+            if d:
+                if w[i] % d:
+                    return None
+                s[i][0] = w[i] // d
+            elif w[i]:
                 return None
-            s[i][0] = w[i] // d
-        elif w[i]:
-            return None
-    return [x for (x,) in _apply_col_ops(col_ops, s)[:m]]
+        return [x for (x,) in _apply_col_ops(col_ops, s)[:m]]
+
+    return solve
+
+
+def solve_combination(G, elements, target):
+    """Integer coefficients x with sum(x_i * elements_i) == target in G.
+
+    Returns a list of ints, or None when target is outside the subgroup
+    generated by the elements: ``combination_solver`` applied once.
+    """
+    return combination_solver(G, elements)(target)
 
 
 def _coprime_base(values):

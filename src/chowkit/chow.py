@@ -30,7 +30,10 @@ push-forward image, an ideal lift, a class check that is one membership test
 in the order's Cl/N (``cl_mod_n``, built once per order and shared with the
 Chow group), and finally a principal-ideal generator of the corrected lift,
 multiplied out from the order's own places; only then are all kernel classes
-built, for ``solve_combination`` to pick the kernel correction.
+read, from ``order.kernel``, for the order's prepared ``combination_solver``
+to pick the kernel correction: the classes, their orders and the solver's
+Smith normal form are built once per order, by the first test that needs
+them.
 It also bounds the search for a trivial Chow group: N lies in 2*Cl, so only
 an odd |Cl| admits one, and then the primes below the class group's own
 prime bound suffice.
@@ -49,9 +52,7 @@ from .abgroup import (
     IntMatrix,
     cyclic_sum,
     direct_sum_invariants,
-    element_order,
     quotient,
-    solve_combination,
     subgroup_quotient,
 )
 from .errors import BackendError, PlaceResolutionError
@@ -60,7 +61,6 @@ from .orders import (
     LEVEL_ORDER,
     Divisor,
     OrderData,
-    kernel_vectors,
     order_from_conductor,
     place_product,
 )
@@ -283,12 +283,16 @@ def principal_divisor_test(order: OrderData, D: Divisor,
     each prime, carrying (a_i/g_i) Q_i; (3)-(4) class group and kernel
     vectors (``kernel_vectors``); (5) the lift's ``order.class_of`` must
     vanish in Cl/N, one ``member`` test in ``order.cl_mod_n``; (6) add to
-    the vector the kernel vectors times ``solve_combination``'s
-    coefficients, as balanced residues modulo the orders of their classes,
-    and recover a generator of its ``place_product`` by reduction
-    (``is_principal``), within ``max_steps`` reduction and cycle steps when
-    given.  Declared orders stop after step (5).  Naming a place over the
-    conductor instead of its prime raises ``PlaceResolutionError``.
+    the vector the kernel vectors of ``order.kernel`` times the
+    coefficients of the order's ``combination_solver`` over their classes,
+    as balanced residues modulo the orders of those classes, and recover a
+    generator of its ``place_product`` by reduction (``is_principal``),
+    within ``max_steps`` reduction and cycle steps when given.  The kernel
+    classes, their orders and the solver's Smith normal form are built once
+    per order, by the first test that reaches step (6); a later test pays
+    only one U*t and one V*s.  Declared orders stop after step (5).  Naming
+    a place over the conductor instead of its prime raises
+    ``PlaceResolutionError``.
     """
     if D.level != LEVEL_ORDER:
         raise ValueError("expected a divisor over the order")
@@ -326,24 +330,21 @@ def principal_divisor_test(order: OrderData, D: Divisor,
                                detail="declared backend stops after the class test")
 
     # step 6: correct the lift by the kernel divisor B = sum x_k * gen_k, in
-    # place.  x_k matters only modulo the order m_k of the class of gen_k
-    # (m_k * gen_k is principal and pushes forward to 0): its balanced
-    # residue keeps the ideal small.
-    cl = order.class_group()
-    starts = accumulate((len(prime.places) for prime in order.primes),
-                        initial=n_invertible)
-    kernel = [(start, gen, order.class_of(prime.places, gen))
-              for start, prime in zip(starts, order.primes)
-              for gen in kernel_vectors(prime)]
-    x = solve_combination(cl, [c for _, _, c in kernel], -cls_a)
+    # place, x from the order's prepared solver over the classes of
+    # ``order.kernel``.  x_k matters only modulo the order m_k of the class
+    # of gen_k (m_k * gen_k is principal and pushes forward to 0): its
+    # balanced residue keeps the ideal small.
+    x = order._kernel_solver(-cls_a)
     if x is None:
         raise RuntimeError("class in N without a kernel combination; bug")
-    for coeff, (start, gen, c) in zip(x, kernel):
-        m = element_order(cl, c)
+    starts = list(accumulate((len(prime.places) for prime in order.primes),
+                             initial=n_invertible))
+    for coeff, (i, gen, _, m) in zip(x, order.kernel):
         coeff %= m
-        coeff = coeff - m if 2 * coeff > m else coeff
-        for j, k in enumerate(gen, start):
-            exponents[j] += coeff * k
+        if coeff:
+            coeff = coeff - m if 2 * coeff > m else coeff
+            for j, k in enumerate(gen, starts[i]):
+                exponents[j] += coeff * k
     alpha = is_principal(field, place_product(field, places, exponents),
                          max_steps=max_steps)
     if alpha is None:

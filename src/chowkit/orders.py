@@ -20,7 +20,11 @@ Both answer ``class_group()``, ``resolve``, ``conductor_exponent`` and
 parsed class image, or one ``dlog`` per place and order), from which the
 base class builds ``class_of(places, exponents)`` and the cached
 ``cl_mod_n``, the order's one Cl/N, building kernel classes only as far as
-it reads them; that is all the Chow group and the class test need.
+it reads them; that is all the Chow group and the class test need.  The
+cached ``kernel`` holds every kernel generator with its class and that
+class's order, built when the principal test's step 6 or the kernel witness
+first reads it, and the principal test's prepared solver over those classes
+is cached beside it.
 Ideal, element and unit arithmetic needs ``order.field``, which only a
 quadratic order has: on a declared order it raises ``BackendError``.
 
@@ -48,6 +52,7 @@ from .abgroup import (
     AbelianGroup,
     GroupElement,
     bezout_gcd,
+    combination_solver,
     element_order,
     subgroup_quotient,
 )
@@ -184,6 +189,30 @@ class OrderData:
         return subgroup_quotient(self.class_group(), (
             self.class_of(prime.places, gen)
             for prime in self.primes for gen in kernel_vectors(prime)))
+
+    @cached_property
+    def kernel(self) -> tuple:
+        """The kernel generators, prime by prime and place by place, each as
+        (i, vector, class, order): the index of its prime, its vector of
+        ``kernel_vectors``, that vector's ``class_of`` and the class's
+        ``element_order``.  Built once per order, when the principal test's
+        step 6 or the kernel witness first reads it; ``cl_mod_n`` and the
+        Chow group never read it, so they keep building kernel classes only
+        as far as they need them."""
+        cl = self.class_group()
+        out = []
+        for i, prime in enumerate(self.primes):
+            for gen in kernel_vectors(prime):
+                c = self.class_of(prime.places, gen)
+                out.append((i, gen, c, element_order(cl, c)))
+        return tuple(out)
+
+    @cached_property
+    def _kernel_solver(self):
+        """``combination_solver`` over the classes of ``kernel``: their
+        Smith normal form, made when the principal test first reaches step
+        6, and then one U*t and one V*s per test."""
+        return combination_solver(self.class_group(), [c for _, _, c, _ in self.kernel])
 
 
 class QuadraticOrder(OrderData):
@@ -502,9 +531,10 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
     normalization, and its generator (``is_principal``, by reduction) has
     divisor 0 over the order without being a unit.  Of the generators the
     one whose class has the least order is taken, so the witness stays
-    small.  ``None`` means that no witness exists: every kernel generator is
-    zero and every unit lies in the order.  ``bound`` is accepted for
-    compatibility and no longer read.
+    small; the generators, their classes and orders are ``order.kernel``'s,
+    and the first of the least order wins a tie.  ``None`` means that no
+    witness exists: every kernel generator is zero and every unit lies in
+    the order.  ``bound`` is accepted for compatibility and no longer read.
     """
     field = order.field
     if order.is_maximal:
@@ -525,10 +555,9 @@ def divisor_kernel_witness(order: OrderData, bound: int = 3):
         if outside(eps):
             return eps
 
-    cl = order.class_group()
-    pairs = [(element_order(cl, order.class_of(prime.places, gen)), prime.places, gen)
-             for prime in order.primes for gen in kernel_vectors(prime) if any(gen)]
-    if not pairs:
+    entries = [entry for entry in order.kernel if any(entry[1])]
+    if not entries:
         return None
-    m, places, gen = min(pairs, key=lambda pair: pair[0])
-    return is_principal(field, place_product(field, places, [m * k for k in gen]))
+    i, gen, _, m = min(entries, key=lambda entry: entry[3])
+    return is_principal(field, place_product(field, order.primes[i].places,
+                                             [m * k for k in gen]))

@@ -118,6 +118,20 @@ def make_field(D: int) -> QuadField:
     return QuadField(D)
 
 
+def _normalized(x, y, den, d):
+    """(x, y, den) of (x + y*sqrt(d)) / (2*den), den != 0, in lowest terms:
+    den > 0, gcd(x, y, den) = 1 and x = y*d (mod 2), and 0 as (0, 0, 1)."""
+    if den < 0:
+        x, y, den = -x, -y, -den
+    if x == 0 and y == 0:
+        return 0, 0, 1
+    t = gcd(x, y, den)
+    x, y, den = x // t, y // t, den // t
+    if (x - y * d) % 2:
+        return 2 * x, 2 * y, 2 * den
+    return x, y, den
+
+
 class QElement:
     """Field element (x + y*sqrt(d)) / (2*den), normalized."""
 
@@ -126,19 +140,8 @@ class QElement:
     def __init__(self, field, x, y, den=1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            x, y, den = -x, -y, -den
-        if x == 0 and y == 0:
-            den = 1
-        else:
-            t = gcd(gcd(abs(x), abs(y)), den)
-            x, y, den = x // t, y // t, den // t
-            if (x - y * field.d) % 2:
-                x, y, den = 2 * x, 2 * y, 2 * den
         self.field = field
-        self.x = x
-        self.y = y
-        self.den = den
+        self.x, self.y, self.den = _normalized(x, y, den, field.d)
 
     @classmethod
     def from_int(cls, field, n):
@@ -791,7 +794,8 @@ def is_principal(field: QuadField, I: QIdeal, max_steps=None):
     """
     d = field.d
     sd = isqrt(d) if d > 0 else 0
-    form, alpha, start, steps = I.form(), field.one(), None, 0
+    form, start, steps = I.form(), None, 0
+    x, y, den = 2, 0, 1  # alpha = (x + y*sqrt(d))/(2*den) = 1
     while abs(form[0]) != 1:
         if _is_reduced_imag(form) if d < 0 else _is_reduced_real(d, sd, form):
             if d < 0 or form == start:
@@ -800,8 +804,12 @@ def is_principal(field: QuadField, I: QIdeal, max_steps=None):
         steps += 1
         if max_steps is not None and steps > max_steps:
             raise SearchBoundExceeded("generator recovery step budget exhausted")
-        alpha = alpha * QElement(field, form[1], 1, form[2])
+        # alpha *= (b + sqrt(d))/(2c) on plain ints, in lowest terms at
+        # every step: unreduced, the entries grow with each step
+        _, b, c = form
+        x, y, den = _normalized((x * b + y * d) // 2, (x + y * b) // 2, den * c, d)
         form = _rho_imag(form) if d < 0 else _rho_real(d, sd, form)
+    alpha = QElement(field, x, y, den)
     walk = [alpha]
     if d > 0:
         # |y(alpha*eps^k)| falls, then rises along each class of k mod 2

@@ -12,6 +12,7 @@ from chowkit.abgroup import (
     AbelianGroup,
     IntMatrix,
     bezout_gcd,
+    combination_solver,
     cyclic_sum,
     direct_sum_invariants,
     element_order,
@@ -119,6 +120,45 @@ def test_member_examples():
     assert element_order(crt, crt.member([1, 1])) == 6
     with pytest.raises(ValueError):
         z4.member([1, 2])
+
+
+def test_rank_0_member_is_the_identity():
+    """A trivial group's ``member`` returns its identity, for a group given
+    no presentation and for a quotient of a presentation with generators,
+    and still checks the vector's length and entries."""
+    C6 = AbelianGroup([6])
+    for G, n in ((AbelianGroup([]), 0), (quotient(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3),
+                 (subgroup_quotient(C6, [C6.element([2]), C6.element([3])]), 1)):
+        assert G.is_trivial() and G.user_rank == n
+        e = G.member([5] * n)
+        assert e == G.identity() and e.coords == () and e.group is G
+        for wrong in ([0] * (n + 1), [0] * (n + 2)):
+            with pytest.raises(ValueError):
+                G.member(wrong)
+        if n:
+            with pytest.raises(ValueError):
+                G.member(["x"] * n)
+
+
+def test_prepared_solver_checks_groups():
+    """``combination_solver`` refuses elements of another group when it is
+    prepared and a target of another group when it is applied; prepared
+    once, it solves each target as ``solve_combination`` does."""
+    G = quotient(2, [[4, 0], [0, 6]])
+    H = quotient(2, [[4, 0], [0, 6]])
+    a, b = G.member([1, 0]), G.member([0, 2])
+    with pytest.raises(ValueError):
+        combination_solver(G, [a, H.member([0, 2])])
+    solve = combination_solver(G, [a, b])
+    with pytest.raises(ValueError):
+        solve(H.member([1, 0]))
+    span = {i * a + j * b for i in range(4) for j in range(6)}
+    d1, d2 = G.invariant_factors
+    for x in range(d1):
+        for y in range(d2):
+            t = G.element([x, y])
+            assert solve(t) == solve_combination(G, [a, b], t)
+            assert (solve(t) is not None) == (t in span)
 
 
 def test_element_order_examples():

@@ -238,6 +238,17 @@ def test_principal_large_power_is_fast(capsys):
     assert capsys.readouterr().out.startswith("principal: ")
 
 
+def test_principal_thousandth_power_is_fast(capsys):
+    # 11.0^1000 takes 1068 reduction steps; generator recovery reduces the
+    # generator at every step, which keeps it near the size of the ideal
+    # (without that reduction this divisor took seconds)
+    start = time.perf_counter()
+    assert main(["principal", "--disc", "-7", "--conductor", "2",
+                 "--divisor", "11.0:1000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith("principal: ")
+
+
 def test_declared_place_token_resolves_to_its_record(capsys):
     # over the conductor a place resolves to its prime, as 2.0 does to 2
     code, out = run(capsys, ["principal", "--data", "data/biquad.decl", "--order", "main",

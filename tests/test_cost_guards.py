@@ -30,7 +30,8 @@ the Chow group it found once, and its search maps each candidate by one
 ``member``, with no SNF solver, and maps nothing for an even |Cl|.  An
 order's Cl/N is built once for the Chow group, the exact sequence, the
 principal test and the Pic report together; the principal test's class
-step calls no SNF solver, and a quadratic one calls it once, at step 6.
+step calls no SNF solver, and a quadratic order prepares one, with one
+SNF, when its first test reaches step 6, and none for later tests.
 
 The class-group build reduces each candidate and each product once, since
 its class keys are the forms it composes, and keeps one form per class.
@@ -339,23 +340,17 @@ def test_find_trivial_builds_each_chow_group_once(monkeypatch, capsys):
 
 def test_find_trivial_search_calls_no_snf_solver(monkeypatch):
     """The search tests each candidate by one ``member`` in the Cl/N it
-    holds, with no ``solve_combination``, and maps no class when |Cl| is
-    even, since then no conductor can work."""
-    solves = []
+    holds, with no SNF solver (``combination_solver``, which
+    ``solve_combination`` applies), and maps no class when |Cl| is even,
+    since then no conductor can work."""
+    solves = _count_calls(monkeypatch, "combination_solver", (abgroup, orders))
     dlogs = []
-    original_solve = abgroup.solve_combination
     original_dlog = ClassGroupData.dlog
-
-    def counting_solve(G, elements, target):
-        solves.append(len(elements))
-        return original_solve(G, elements, target)
 
     def counting_dlog(self, ideal):
         dlogs.append(self.field.d)
         return original_dlog(self, ideal)
 
-    monkeypatch.setattr(abgroup, "solve_combination", counting_solve)
-    monkeypatch.setattr(chow, "solve_combination", counting_solve)
     monkeypatch.setattr(ClassGroupData, "dlog", counting_dlog)
     for d in ODD_H:
         assert chow.find_trivial_chow_conductor(make_field(d), 100) is not None, d
@@ -405,13 +400,13 @@ def test_one_cl_mod_n_per_order(monkeypatch):
 @pytest.mark.parametrize("uniform", (False, True))
 def test_declared_principal_test_calls_no_snf_solver(monkeypatch, uniform):
     """On the 150-prime files, per-place (N = Cl) and uniform (N = 0), the
-    class step is one membership test in Cl/N, with no
-    ``solve_combination``: every divisor below passes step 1, and 0 passes
-    step 5 too.  The one Smith normal form made is that of Cl/N, on the
-    first call."""
+    class step is one membership test in Cl/N, with no SNF solver
+    (``combination_solver``): every divisor below passes step 1, and 0
+    passes step 5 too.  The one Smith normal form made is that of Cl/N, on
+    the first call."""
     decl = _big_field(uniform)
     order = declared_order(decl, decl.prime_labels)
-    solves = _count_calls(monkeypatch, "solve_combination", (abgroup, chow))
+    solves = _count_calls(monkeypatch, "combination_solver", (abgroup, orders))
     snfs = _count_calls(monkeypatch, "_snf_inplace", (abgroup,))
     rng = random.Random(5)
     divisors = [Divisor(LEVEL_ORDER, {})] + [
@@ -428,22 +423,27 @@ def test_declared_principal_test_calls_no_snf_solver(monkeypatch, uniform):
                         else {"principal-no-generator"})
 
 
-def test_quadratic_principal_test_solves_once_at_step_6(monkeypatch):
-    """A quadratic principal test calls ``solve_combination`` once, for the
-    kernel correction of a lift that passed the class step, and never for a
-    lift that failed it."""
-    solves = _count_calls(monkeypatch, "solve_combination", (abgroup, chow))
-    F = make_field(-23)
+def test_quadratic_principal_test_prepares_one_solver_per_order(monkeypatch):
+    """The kernel correction's solver is prepared once per order: the first
+    test on an order that reaches step 6 makes its one Smith normal form
+    (one ``combination_solver``, one ``_snf_inplace``), later tests on that
+    order make none, and a lift that fails step 5 makes none and builds no
+    kernel class.  Cl and Cl/N are built beforehand, so every SNF counted
+    is the solver's."""
+    F = make_field(-23)   # Cl = Z/3, so the solver's SNF is not empty
     order = order_from_conductor(F, 30)
+    fresh = order_from_conductor(F, 7)
+    assert order.cl_mod_n.is_trivial() and not fresh.cl_mod_n.is_trivial()
+    solvers = _count_calls(monkeypatch, "combination_solver", (abgroup, orders))
+    snfs = _count_calls(monkeypatch, "_snf_inplace", (abgroup,))
     for x, y in ((5, 1), (7, 3), (11, 1), (29, 5)):
-        del solves[:]
         D = div_over_order(order, QElement(F, x, y, 1))
-        res = chow.principal_divisor_test(order, D)
-        assert res.status == "principal" and len(solves) == 1
-    del solves[:]
-    res = chow.principal_divisor_test(order_from_conductor(F, 7),
-                                      Divisor(LEVEL_ORDER, {"2.0": 1}))
-    assert res.failing_step == 5 and solves == []
+        assert chow.principal_divisor_test(order, D).status == "principal"
+        assert (len(solvers), len(snfs)) == (1, 1)
+    del solvers[:], snfs[:]
+    res = chow.principal_divisor_test(fresh, Divisor(LEVEL_ORDER, {"2.0": 1}))
+    assert res.failing_step == 5 and solvers == [] and snfs == []
+    assert "kernel" not in vars(fresh) and "_kernel_solver" not in vars(fresh)
 
 
 def test_parse_declared_tests_each_p_once(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 
 import chowkit.ntheory
 from chowkit import orders
-from chowkit.chow import principal_divisor_test
+from chowkit.abgroup import combination_solver, solve_combination
+from chowkit.chow import chow_group, exact_sequence_data, principal_divisor_test
 from chowkit.cli import main
 from chowkit.declared import declared_order, load_declared
 from chowkit.errors import NotConductorIdealError, PlaceResolutionError
@@ -32,6 +33,8 @@ from chowkit.quadfield import QElement, class_group, make_field, splitting
 from util import (
     LIFT_CONDUCTORS,
     LIFT_FIELDS,
+    enumerate_subgroup_order,
+    fabric_by_group_arithmetic,
     fabric_of,
     fundamental_discriminants,
     kernel_generators_by_labels,
@@ -383,6 +386,65 @@ def test_fabric_n_generators_are_kernel_vector_classes():
                 classes.append(c)
         assert tuple(classes) == n_gens
         assert kernel_generators(O) == kernel_generators_by_labels(O)
+
+
+def test_order_kernel_matches_group_arithmetic():
+    """``order.kernel`` holds one entry per kernel generator, prime by prime
+    and place by place: the index of its prime, its vector of
+    ``kernel_vectors``, its class, equal to the kernel class of
+    ``fabric_by_group_arithmetic``, and that class's order, counted by
+    closure.  ``cl_mod_n``, the Chow group and the exact sequence leave it
+    unbuilt, and it is built once."""
+    decl = random_declared_field(random.Random(7), 12, (2, 6))
+    cases = [order_from_conductor(make_field(d), f)
+             for d in LIFT_FIELDS for f in LIFT_CONDUCTORS]
+    cases += [declared_order(decl, decl.prime_labels),
+              declared_order(load_declared("data/biquad.decl"), ["main"])]
+    for O in cases:
+        chow_group(O)
+        exact_sequence_data(O)
+        assert "kernel" not in vars(O)
+        cl, _, n_gens = fabric_by_group_arithmetic(O)
+        assert [(i, gen) for i, gen, _, _ in O.kernel] == [
+            (i, gen) for i, prime in enumerate(O.primes) for gen in kernel_vectors(prime)]
+        assert tuple(c for _, _, c, _ in O.kernel) == n_gens
+        assert [m for *_, m in O.kernel] == [enumerate_subgroup_order(cl, [c])
+                                              for c in n_gens]
+        assert O.kernel is O.kernel
+
+
+# Cl of rank 0 (d = -7), rank 2 with N = 0 (-84), rank 2 with 0 != N != Cl
+# (-231, -399), and real fields of class number 6, narrow != wide (3305),
+# with N = Cl (f = 13) and with Cl/N = Z/2 (f = 30)
+SOLVER_ORDERS = ((-7, 30), (-84, 15), (-231, 30), (-399, 30), (3305, 13), (3305, 30))
+
+
+@pytest.mark.parametrize("d,f", SOLVER_ORDERS)
+def test_prepared_solver_matches_solve_combination(d, f):
+    """Over the kernel classes of an order, a solver prepared once, and the
+    order's own solver that the principal test reads, return exactly what
+    ``solve_combination`` returns for every element of Cl as target: the
+    coefficients of the same combination, or None when the target is
+    outside N (the order of N, by closure, is the number of targets
+    solved)."""
+    O = order_from_conductor(make_field(d), f)
+    cl = O.class_group()
+    classes = [c for _, _, c, _ in O.kernel]
+    solve = combination_solver(cl, classes)
+    solved = 0
+    for coords in itertools.product(*map(range, cl.invariant_factors)):
+        target = cl.element(coords)
+        x = solve_combination(cl, classes, target)
+        assert solve(target) == x and O._kernel_solver(target) == x, (d, f, coords)
+        if x is not None:
+            acc = cl.identity()
+            for k, c in zip(x, classes):
+                acc = acc + k * c
+            assert acc == target
+            solved += 1
+    assert solved == enumerate_subgroup_order(cl, classes)
+    assert solved * O.cl_mod_n.cardinality() == cl.cardinality()
+
 
 def test_class_of_matches_dlog_of_place_product():
     """``order.class_of`` against ideal arithmetic: on the LIFT_FIELDS x
