@@ -479,13 +479,15 @@ def order_from_ideal(field: QuadField, exponents) -> QuadraticOrder:
     is Z + f*O~: a split prime passes only with equal exponents on its two
     places, a ramified one only with an even exponent, and an inert one has
     no degree-1 place (its one place has e = 1).  So each exponent is
-    v_p(f) * e.
+    v_p(f) * e.  The order keeps the places the check split over each p.
     """
     viol, by_p = _furtwaengler(field, exponents)
     if viol is not None:
         raise NotConductorIdealError(f"not a conductor ideal (violating place {viol})")
-    return order_from_conductor(
-        field, prod(p ** (ks[0] // places[0].e) for p, (places, ks) in by_p.items()))
+    v = {p: ks[0] // places[0].e for p, (places, ks) in by_p.items()}
+    return QuadraticOrder(
+        field, prod(p ** v[p] for p in v),
+        [NonInvertiblePrime(str(p), p, p, by_p[p][0]) for p in v if v[p]])
 
 
 @dataclass

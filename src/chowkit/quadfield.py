@@ -24,7 +24,10 @@ least form with a > 0 on the reduction cycle (the narrow class), and each
 cycle is walked once per build.  Real class groups are then taken modulo the class
 of sqrt(d)*Z[w], which removes the narrow/wide distinction; both quotients'
 transforms are composed once, so every class group is presented on the
-span's generators and ``dlog`` maps a class in one step.
+span's generators and ``dlog`` maps a class in one step.  A field keeps
+its class group (and a real field its unit) once built, and the process
+those of the last few d, so what it holds does not grow with the fields
+it has seen.
 
 The same composition, unreduced, is the ideal product: the primitive parts
 of two ideals multiply to gcd(a1, a2, (b1 + b2)/2) times the ideal of the
@@ -41,7 +44,8 @@ plus, for d > 0, one reduction cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -57,8 +61,11 @@ from .ntheory import (
 
 MAX_CLASS_DISC = 10**6
 
-_CLASS_CACHE = {}
-_UNIT_CACHE = {}
+# The class groups and units of the last _RECENT_SIZE d read, for the fresh
+# field of the same d that each CLI call makes; a field keeps its own
+_RECENT_SIZE = 16
+_RECENT_CLASS_GROUPS = OrderedDict()
+_RECENT_UNITS = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,13 @@ class QuadField:
     """Quadratic field of fundamental discriminant d."""
 
     d: int
+    # set once, by ``class_group`` and ``fundamental_unit`` through
+    # object.__setattr__: writing through __dict__ would materialize the
+    # instance dict, which slows every read of d on CPython 3.11
+    _class_group: ClassGroupData | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
+    _unit: QElement | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def is_imaginary(self):
@@ -612,13 +626,15 @@ def reduced_form_count(d: int) -> int:
 
 
 class ClassGroupData:
-    """Ideal class group: ``group`` is presented on the span's generators,
-    ``table`` maps each class key, the class's one reduced form with a > 0,
-    to its coordinates over them, and ``dlog`` maps an ideal to its class.
+    """Ideal class group of the field of discriminant ``d``: ``group`` is
+    presented on the span's generators, ``table`` maps each class key, the
+    class's one reduced form with a > 0, to its coordinates over them, and
+    ``dlog`` maps an ideal to its class.  It holds d, not the field, which
+    holds it.
     """
 
-    def __init__(self, field, group, table):
-        self.field = field
+    def __init__(self, d, group, table):
+        self.d = d
         self.group = group
         self._table = table
 
@@ -629,9 +645,9 @@ class ClassGroupData:
     def dlog(self, ideal: QIdeal):
         """Class of a fractional ideal as a GroupElement of self.group: the
         span coordinates of its class key, mapped once by ``member``."""
-        if ideal.field.d != self.field.d:
+        d = self.d
+        if ideal.field.d != d:
             raise TypeError("ideal of a different field")
-        d = self.field.d
         coords = self._table[_class_key(d, isqrt(d) if d > 0 else 0, ideal.form())]
         return self.group.member(coords + (0,) * (self.group.user_rank - len(coords)))
 
@@ -692,14 +708,34 @@ def class_prime_bound(d: int) -> int:
     return isqrt(d) // 2 + 1
 
 
-def class_group(field: QuadField) -> ClassGroupData:
-    """Class group of the maximal order, memoized per field."""
+def _recall(recent, field, build):
+    """The value that ``recent`` holds for field.d, else build(field), made
+    the most recent either way; past _RECENT_SIZE the least recent goes."""
     d = field.d
-    check_class_disc(d)
-    cached = _CLASS_CACHE.get(d)
-    if cached is not None:
-        return cached
+    value = recent.get(d)
+    if value is None:
+        value = recent[d] = build(field)
+        if len(recent) > _RECENT_SIZE:
+            recent.popitem(last=False)
+    else:
+        recent.move_to_end(d)
+    return value
 
+
+def class_group(field: QuadField) -> ClassGroupData:
+    """Class group of the maximal order.  The field holds it once built, so
+    a live field and the orders on it never build it again; besides, the
+    groups of the last few d read are kept for a fresh field of the same d."""
+    data = field._class_group
+    if data is None:
+        check_class_disc(field.d)
+        data = _recall(_RECENT_CLASS_GROUPS, field, _build_class_group)
+        object.__setattr__(field, "_class_group", data)
+    return data
+
+
+def _build_class_group(field):
+    d = field.d
     sd = isqrt(d) if d > 0 else 0
     candidates = []
     for p in primes_below(class_prime_bound(d) + 1):
@@ -730,22 +766,25 @@ def class_group(field: QuadField) -> ClassGroupData:
         wide = quotient(k, moduli + [list(t)])
         group = AbelianGroup(wide.invariant_factors,
                              basis_change=narrow.basis_change @ wide.basis_change)
-
-    data = ClassGroupData(field, group, table)
-    _CLASS_CACHE[d] = data
-    return data
+    return ClassGroupData(d, group, table)
 
 
 def fundamental_unit(field: QuadField) -> QElement:
     """Fundamental unit eps > 1 of a real field: one period of n partial
     quotients of the reduced theta = (u + sqrt(d))/2, u = d (mod 2), gives
-    eps = q_(n-1)*theta + q_(n-2) in Z[theta] = Z[w] (Cohen, GTM 138, 5.7)."""
-    if not field.is_real:
-        raise FieldInputError("fundamental unit requires a real field")
+    eps = q_(n-1)*theta + q_(n-2) in Z[theta] = Z[w] (Cohen, GTM 138, 5.7).
+    Kept as the class group is: by the field, and for the last few d read."""
+    eps = field._unit
+    if eps is None:
+        if not field.is_real:
+            raise FieldInputError("fundamental unit requires a real field")
+        eps = _recall(_RECENT_UNITS, field, _build_unit)
+        object.__setattr__(field, "_unit", eps)
+    return eps
+
+
+def _build_unit(field):
     d = field.d
-    cached = _UNIT_CACHE.get(d)
-    if cached is not None:
-        return cached
     sd = isqrt(d)
     u = sd - (sd - d) % 2
     P, Q = u, 2
@@ -757,10 +796,11 @@ def fundamental_unit(field: QuadField) -> QElement:
         Q = (d - P * P) // Q
         if (P, Q) == (u, 2):
             break
-    eps = QElement(field, q_cur * u + 2 * q_prev, q_cur, 1)
+    # on a field of its own, which holds nothing: on ``field`` it would make
+    # a reference cycle through field._unit, freed only by the cyclic GC
+    eps = QElement(QuadField(d), q_cur * u + 2 * q_prev, q_cur, 1)
     if abs(eps.norm()) != 1:
         raise RuntimeError(f"continued fraction produced a non-unit for d={d}")
-    _UNIT_CACHE[d] = eps
     return eps
 
 

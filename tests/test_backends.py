@@ -192,7 +192,8 @@ _REMOVED_NAMES = ("PlaceInfo", "DeclaredPrime", "is_conductor_ideal", "local_cho
                   "UnsupportedOrderError", "q_divisor", "divisor_to_ideal",
                   "invertible_place_class", "residue_units_trivial", "ord_at",
                   "unit_group_order", "_form_pow", "local_chow", "fabric",
-                  "bezout_vectors", "residue_unit_cardinality")
+                  "bezout_vectors", "residue_unit_cardinality", "_CLASS_CACHE",
+                  "_UNIT_CACHE")
 
 
 @pytest.mark.parametrize("module", ["chowkit", "chowkit.orders", "chowkit.declared",
@@ -235,6 +236,7 @@ def _owner(kind):
     ("ClassGroupData", "representatives"),
     ("ClassGroupData", "_narrow"),
     ("ClassGroupData", "invariant_factors"),
+    ("ClassGroupData", "field"),
     ("QIdeal", "contains"),
     ("PrimePlace", "unique"),
     ("cli", "_group_str"),

@@ -17,8 +17,8 @@ The principal lift and the kernel witness: each label is resolved once by
 ``order.resolve``, no label over the conductor is parsed, and no divisor
 over the normalization is built.  A quadratic order splits each p once, its
 conductor primes never, a warm ``order-info`` splits each conductor prime
-once, when it builds the order, and ``order_from_ideal`` each p at most
-twice, in its Furtwaengler check and in the order it builds.
+once, when it builds the order, and ``order_from_ideal`` each p once, in
+its Furtwaengler check, whose places the order it builds keeps.
 
 The Chow layer: the G/R quotient gets one column per distinct pair
 (g_i, qbar_i != 0) and one per modulus of Cl/N, ``relations`` is left
@@ -35,6 +35,8 @@ SNF, when its first test reaches step 6, and none for later tests.
 
 The class-group build reduces each candidate and each product once, since
 its class keys are the forms it composes, and keeps one form per class.
+What a process holds does not grow with the number of fields it has built,
+and a field or order it holds never rebuilds its class group.
 ``order-info`` builds no group per conductor prime.
 """
 
@@ -44,6 +46,7 @@ import io
 import json
 import random
 import tracemalloc
+from collections import OrderedDict
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -60,6 +63,7 @@ from chowkit.quadfield import (
     class_group,
     class_prime_bound,
     element_divisor,
+    fundamental_unit,
     is_principal,
     make_field,
     splitting,
@@ -74,7 +78,7 @@ from chowkit.orders import (
     place_product,
     resolve_place,
 )
-from util import fabric_of, random_declared_field
+from util import fabric_of, fundamental_discriminants, random_declared_field
 
 N_PRIMES = 150
 
@@ -348,7 +352,7 @@ def test_find_trivial_search_calls_no_snf_solver(monkeypatch):
     original_dlog = ClassGroupData.dlog
 
     def counting_dlog(self, ideal):
-        dlogs.append(self.field.d)
+        dlogs.append(self.d)
         return original_dlog(self, ideal)
 
     monkeypatch.setattr(ClassGroupData, "dlog", counting_dlog)
@@ -643,10 +647,11 @@ def test_conductor_test_splits_each_prime_once(monkeypatch):
     assert sorted(calls) == [2, 3, 5, 23]
 
 
-def test_order_from_ideal_splits_each_prime_at_most_twice(monkeypatch):
+def test_order_from_ideal_splits_each_prime_once(monkeypatch):
     """``order_from_ideal`` resolves its labels through the maximal order of
-    the Furtwaengler check, then builds the order: each p is split at most
-    twice, where resolving each label again split it once more per label."""
+    the Furtwaengler check and builds the order on the places it split
+    there: each p is split once, where ``order_from_conductor`` split each
+    p of f a second time."""
     F = make_field(-7)
     calls = []
     original = orders._splitting
@@ -658,7 +663,7 @@ def test_order_from_ideal_splits_each_prime_at_most_twice(monkeypatch):
     monkeypatch.setattr(orders, "_splitting", counting)
     order = orders.order_from_ideal(F, {"2.0": 1, "2.1": 1, "3": 2, "5": 1})
     assert order.conductor == 90   # 3 is inert, so its exponent is v_3(f)
-    assert sorted(calls) == [2, 2, 3, 3, 5, 5]
+    assert sorted(calls) == [2, 3, 5]
 
 
 def test_order_info_splits_each_conductor_prime_once(monkeypatch):
@@ -792,7 +797,7 @@ def test_class_group_reduces_each_form_once(monkeypatch):
         compositions.append(d)
         return original_compose(f1, f2, d)
 
-    monkeypatch.setattr(quadfield, "_CLASS_CACHE", {})
+    monkeypatch.setattr(quadfield, "_RECENT_CLASS_GROUPS", OrderedDict())
     monkeypatch.setattr(quadfield, "_reduce_imag", counting_reduce)
     monkeypatch.setattr(quadfield, "_compose", counting_compose)
     assert class_group(F).cardinality() == 1268
@@ -805,7 +810,7 @@ def test_class_group_build_memory(monkeypatch):
     (287 KiB on CPython 3.11), where a table of representatives beside the
     keys took 571 KiB, measured the same way."""
     F = make_field(BIG_IMAGINARY)
-    monkeypatch.setattr(quadfield, "_CLASS_CACHE", {})
+    monkeypatch.setattr(quadfield, "_RECENT_CLASS_GROUPS", OrderedDict())
     gc.collect()  # also empties the free lists, whose reuse tracemalloc does not see
     tracemalloc.start()
     try:
@@ -814,6 +819,59 @@ def test_class_group_build_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 320 * 1024
+
+
+def test_class_groups_of_many_fields_hold_bounded_memory(monkeypatch):
+    """The class groups and units of 2000 fields, |d| <= 3300 in a seeded
+    order: the memory tracemalloc sees held after the last field is within
+    64 KiB of what it was after the first 400, where a cache that kept
+    every table grew by 3.7 MiB between the same readings.  A field and an
+    order held through them never rebuild their class groups."""
+    monkeypatch.setattr(quadfield, "_RECENT_CLASS_GROUPS", OrderedDict())
+    monkeypatch.setattr(quadfield, "_RECENT_UNITS", OrderedDict())
+    builds = []
+    original = quadfield._span_classes
+
+    def counting(d, sd, candidates, memo):
+        builds.append(d)
+        return original(d, sd, candidates, memo)
+
+    monkeypatch.setattr(quadfield, "_span_classes", counting)
+    held_field = make_field(-3299)
+    held_order = order_from_conductor(make_field(3297), 5)
+    class_group(held_field)
+    eps = fundamental_unit(held_order.field)
+    held_order.cl_mod_n
+    discs = [d for d in fundamental_discriminants(3300) if d not in (-3299, 3297)]
+    random.Random(31).shuffle(discs)
+    discs = discs[:2000]
+
+    def held():
+        gc.collect()  # also empties the free lists, whose reuse tracemalloc does not see
+        return tracemalloc.get_traced_memory()[0]
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i, d in enumerate(discs, 1):
+            field = make_field(d)
+            class_group(field)
+            if d > 0:
+                fundamental_unit(field)
+            if i == 400:
+                early = held()
+        late = held()
+    finally:
+        tracemalloc.stop()
+    assert late - early < 64 * 1024
+    assert len(quadfield._RECENT_CLASS_GROUPS) == quadfield._RECENT_SIZE
+    del builds[:]
+    assert class_group(held_field).cardinality() == 27
+    assert class_group(held_order.field) is class_group(held_order.field)
+    assert fundamental_unit(held_order.field) is eps
+    assert chow.chow_group(held_order).result is not None
+    assert chow.pic_cardinality(held_order) is not None
+    assert builds == []
 
 
 @functools.lru_cache(maxsize=1)

@@ -268,6 +268,7 @@ def test_order_from_ideal_exhaustive():
                     continue
                 O = order_from_ideal(F, exps)
                 assert O.conductor == p ** v, (d, p, ks)
+                assert O.primes == order_from_conductor(F, O.conductor).primes
                 conductor = {pl.label: O.conductor_exponent(prime) * pl.e
                              for prime in O.primes for pl in prime.places}
                 assert conductor == {l: k for l, k in exps.items() if k}, (d, p, ks)
